@@ -13,11 +13,11 @@ from .ica import (IcaOutput, IcaParams, channel_attention, ica_forward,
 from .metrics import (ConfusionCounts, MetricsReport, RocCurve, binarize,
                       compute_report, confusion, connected_components,
                       iou_dataset, niou, roc)
-from .model import (ModelConfig, ModelParams, SideOutputs, build_model,
-                    count_flops, count_params, forward, forward_features, infer,
-                    make_model_config, parse_model_config, render_model_config)
+from .model import (ModelConfig, ModelParams, SideOutputs, count_flops,
+                    count_params, forward, forward_features, infer,
+                    parse_model_config, render_model_config)
 from .prng import Prng
-from .rsu import (RsuParams, RsuSpec, build_rsu, dilation_schedule, rsu_forward,
+from .rsu import (RsuParams, RsuSpec, dilation_schedule, rsu_forward,
                   rsu_receptive_field)
 from .tensor import Tape, Tensor, backward, grad_check
 from .train import (AdamState, TrainConfig, adam_step, evaluate_dataset,

@@ -15,8 +15,8 @@ import numpy as np
 
 from .data import DatasetTemplate, gen_dataset, load_dataset, load_pgm, save_pgm
 from .io import save_tensor
-from .metrics import compute_report, roc, write_report_csv, write_roc_csv, write_roc_svg
-from .model import build_model, infer, parse_model_config
+from .metrics import write_report_csv, write_roc_csv, write_roc_svg
+from .model import ModelParams, infer, parse_model_config
 from .prng import Prng
 from .tensor import Tensor
 from .train import (TrainConfig, evaluate_dataset, open_checkpoint,
@@ -36,10 +36,11 @@ def _read_config(path, what: str) -> str:
         return fh.read()
 
 
-def _load_scores(params, dataset) -> tuple:
-    scores = [infer(params, s.image).data[0, 0] for s in dataset]
-    gts = [s.mask.data[0, 0] for s in dataset]
-    return scores, gts
+def _roc_thresholds(n: int) -> int:
+    # checked here, since evaluate_dataset reads 0 as "no ROC"
+    if n < 1:
+        raise ValueError(f"n_thresholds must be >= 1, got {n}")
+    return n
 
 
 def cmd_gen_data(args) -> int:
@@ -59,7 +60,7 @@ def cmd_train(args) -> int:
     train_cfg = (parse_train_config(_read_config(args.train_cfg, "train config"))
                  if args.train_cfg else TrainConfig())
     dataset = load_dataset(args.data)
-    params = build_model(model_cfg, Prng(train_cfg.seed))
+    params = ModelParams(model_cfg, Prng(train_cfg.seed))
     curve = args.curve or args.out + ".curve.csv"
     result = train_loop(params, dataset, train_cfg, ckpt_path=args.out,
                         curve_path=curve, ckpt_every=args.ckpt_every)
@@ -93,8 +94,7 @@ def cmd_eval(args) -> int:
     dataset = load_dataset(args.data)
     result = evaluate_dataset(params, dataset, args.thr)
     if args.out:
-        report = compute_report(result["scores"], result["gts"], thr=args.thr)
-        write_report_csv(report, args.out)
+        write_report_csv(result["report"], args.out)
         print(f"report={args.out}")
     print(f"n={len(dataset)}")
     print(f"thr={args.thr!r}")
@@ -106,8 +106,8 @@ def cmd_eval(args) -> int:
 def cmd_roc(args) -> int:
     params, _ = open_checkpoint(args.ckpt)
     dataset = load_dataset(args.data)
-    scores, gts = _load_scores(params, dataset)
-    curve = roc(scores, gts, args.n_thr, args.fpr_mode)
+    curve = evaluate_dataset(params, dataset, n_thresholds=_roc_thresholds(args.n_thr),
+                             fpr_mode=args.fpr_mode)["report"].roc
     write_roc_csv(curve, args.out)
     print(f"roc={args.out}")
     if args.svg:
@@ -122,9 +122,9 @@ def cmd_roc(args) -> int:
 def cmd_report(args) -> int:
     params, _ = open_checkpoint(args.ckpt)
     dataset = load_dataset(args.data)
-    scores, gts = _load_scores(params, dataset)
-    report = compute_report(scores, gts, thr=args.thr, n_thresholds=args.n_thr,
-                            fpr_mode=args.fpr_mode)
+    report = evaluate_dataset(params, dataset, args.thr,
+                              n_thresholds=_roc_thresholds(args.n_thr),
+                              fpr_mode=args.fpr_mode)["report"]
     os.makedirs(args.out_dir, exist_ok=True)
     report_path = os.path.join(args.out_dir, "report.csv")
     roc_path = os.path.join(args.out_dir, "roc.csv")

@@ -267,7 +267,7 @@ def save_pgm(path, arr: np.ndarray) -> None:
         fh.write(quantized.tobytes())
 
 
-def _pgm_tokens(data: bytes, count: int, pos: int) -> tuple:
+def _pgm_tokens(path, data: bytes, count: int, pos: int) -> tuple:
     """Read whitespace-separated header tokens, skipping # comment lines."""
     tokens = []
     while len(tokens) < count:
@@ -281,7 +281,7 @@ def _pgm_tokens(data: bytes, count: int, pos: int) -> tuple:
         while pos < len(data) and not data[pos: pos + 1].isspace():
             pos += 1
         if start == pos:
-            raise ValueError("truncated PGM header")
+            raise ValueError(f"{path}: truncated PGM header")
         tokens.append(data[start:pos])
     return tokens, pos
 
@@ -292,8 +292,13 @@ def load_pgm(path) -> np.ndarray:
         data = fh.read()
     if data[:2] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (magic {data[:2]!r})")
-    tokens, pos = _pgm_tokens(data, 3, 2)
+    tokens, pos = _pgm_tokens(path, data, 3, 2)
+    for name, tok in zip(("width", "height", "maxval"), tokens):
+        if not tok.isdigit():
+            raise ValueError(f"{path}: PGM {name} must be a decimal integer, got {tok!r}")
     width, height, maxval = (int(t) for t in tokens)
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: PGM size must be at least 1x1, got {width}x{height}")
     if maxval != 255:
         raise ValueError(f"{path}: maxval must be 255, got {maxval}")
     pos += 1  # single whitespace byte after maxval

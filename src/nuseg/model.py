@@ -23,10 +23,9 @@ from .rsu import RsuParams, RsuSpec, rsu_forward
 from .tensor import (Tensor, activation, concat_channels, max_pool2d,
                      upsample_bilinear)
 
-__all__ = ["ModelConfig", "ModelParams", "SideOutputs", "make_model_config",
-           "parse_model_config", "render_model_config", "build_model",
-           "forward", "forward_features", "infer", "count_params", "count_flops",
-           "PRESETS", "CONFIG_KEYS"]
+__all__ = ["ModelConfig", "ModelParams", "SideOutputs", "parse_model_config",
+           "render_model_config", "forward", "forward_features", "infer",
+           "count_params", "count_flops", "PRESETS", "CONFIG_KEYS"]
 
 PRESETS = ("tiny", "small", "full")
 CONFIG_KEYS = "gate_kind, ica_enabled, mid_ch.<i>, preset, stages"
@@ -130,18 +129,8 @@ class ModelConfig:
         return 2 ** (self.stages - 1)
 
 
-def make_model_config(preset: str = "tiny", stages: int = None,
-                      mid_overrides: dict = None, ica_enabled: bool = True,
-                      gate_kind: str = "sigmoid") -> ModelConfig:
-    return ModelConfig(preset=preset, stages=stages, mid_overrides=mid_overrides,
-                       ica_enabled=ica_enabled, gate_kind=gate_kind)
-
-
-def parse_model_config(text: str) -> ModelConfig:
-    """Parse flat `key = value` lines; unknown keys are hard errors."""
-    knobs = {"preset": "tiny", "stages": None, "ica_enabled": True,
-             "gate_kind": "sigmoid"}
-    mid_overrides = {}
+def _config_lines(text: str):
+    """(key, value) pairs of flat `key = value` lines; `#` starts a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -149,6 +138,37 @@ def parse_model_config(text: str) -> ModelConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key = value, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
+        yield key, val
+
+
+def _parse_int(key: str, val: str) -> int:
+    try:
+        return int(val)
+    except ValueError:
+        raise ValueError(f"config key {key!r}: expected integer, got {val!r}") from None
+
+
+def _parse_float(key: str, val: str) -> float:
+    try:
+        return float(val)
+    except ValueError:
+        raise ValueError(f"config key {key!r}: expected number, got {val!r}") from None
+
+
+def _parse_bool(key: str, val: str) -> bool:
+    if val == "true":
+        return True
+    if val == "false":
+        return False
+    raise ValueError(f"config key {key!r}: expected true or false, got {val!r}")
+
+
+def parse_model_config(text: str) -> ModelConfig:
+    """Parse flat `key = value` lines; unknown keys are hard errors."""
+    knobs = {"preset": "tiny", "stages": None, "ica_enabled": True,
+             "gate_kind": "sigmoid"}
+    mid_overrides = {}
+    for key, val in _config_lines(text):
         if key == "preset":
             knobs["preset"] = val
         elif key == "stages":
@@ -162,21 +182,6 @@ def parse_model_config(text: str) -> ModelConfig:
         else:
             raise ValueError(f"unknown config key {key!r}; valid keys: {CONFIG_KEYS}")
     return ModelConfig(mid_overrides=mid_overrides, **knobs)
-
-
-def _parse_int(key: str, val: str) -> int:
-    try:
-        return int(val)
-    except ValueError:
-        raise ValueError(f"config key {key!r}: expected integer, got {val!r}") from None
-
-
-def _parse_bool(key: str, val: str) -> bool:
-    if val == "true":
-        return True
-    if val == "false":
-        return False
-    raise ValueError(f"config key {key!r}: expected true or false, got {val!r}")
 
 
 def render_model_config(cfg: ModelConfig) -> str:
@@ -251,10 +256,6 @@ class ModelParams:
             mods.append(self.decoders[k])
         mods += self.heads + [self.fuse]
         return [t for m in mods for t in m.trainables()]
-
-
-def build_model(cfg: ModelConfig, rng: Prng) -> ModelParams:
-    return ModelParams(cfg, rng)
 
 
 def _check_input(cfg: ModelConfig, x: Tensor) -> None:

@@ -13,7 +13,7 @@ from .layers import ConvBnRelu
 from .prng import Prng
 from .tensor import Tensor, add, concat_channels, max_pool2d, upsample_bilinear
 
-__all__ = ["RsuSpec", "RsuParams", "build_rsu", "rsu_forward",
+__all__ = ["RsuSpec", "RsuParams", "rsu_forward",
            "dilation_schedule", "conv_receptive_field", "rsu_receptive_field"]
 
 MODES = ("pooling", "dilated")
@@ -88,10 +88,6 @@ class RsuParams:
     def trainables(self) -> list:
         mods = [self.conv_in] + self.encs + [self.bottom] + self.decs
         return [t for m in mods for t in m.trainables()]
-
-
-def build_rsu(spec: RsuSpec, rng: Prng) -> RsuParams:
-    return RsuParams(spec, rng)
 
 
 def rsu_forward(params: RsuParams, x: Tensor, training: bool) -> Tensor:

@@ -81,10 +81,6 @@ class OpRecord:
     inputs: tuple
     output: "Tensor"
 
-    @property
-    def backward_rule(self):
-        return self.output._backward
-
 
 class Tape:
     """Execution trace: ordered (op, inputs, output) records.

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io as tio
-from .metrics import binarize, iou_dataset, niou, per_sample_iou
-from .model import (ModelConfig, ModelParams, build_model, forward, infer,
-                    parse_model_config, render_model_config)
+from .metrics import binarize, compute_report, iou_dataset
+from .model import (ModelConfig, ModelParams, _config_lines, _parse_float, _parse_int,
+                    forward, infer, parse_model_config, render_model_config)
 from .prng import Prng
-from .tensor import Tensor, add, backward, bce_loss, scale, zero_grads
+from .tensor import Tensor, _stable_sigmoid, add, backward, bce_loss, scale, zero_grads
 
 __all__ = ["TrainConfig", "AdamState", "parse_train_config", "render_train_config",
            "total_loss", "adam_step", "train_loop", "save_checkpoint",
@@ -42,14 +42,16 @@ class TrainConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        for name in ("lr", "eps_adam"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
         for name in ("beta1", "beta2"):
             b = getattr(self, name)
             if not 0.0 <= b < 1.0:
                 raise ValueError(f"{name} must be in [0,1), got {b}")
-        if self.eps_adam < 0:
-            raise ValueError(f"eps_adam must be >= 0, got {self.eps_adam}")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError(f"threshold must be in [0,1], got {self.threshold}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -58,8 +60,8 @@ class TrainConfig:
             raise ValueError(f"seed must be a u64, got {self.seed}")
         if self.loss_weights is not None:
             ws = [float(w) for w in self.loss_weights]
-            if any(w < 0 for w in ws):
-                raise ValueError("loss_weights must be >= 0")
+            if not all(math.isfinite(w) and w >= 0 for w in ws):
+                raise ValueError(f"loss_weights must be finite and >= 0, got {ws}")
             if not any(w > 0 for w in ws):
                 raise ValueError("loss_weights must not be all zero")
             self.loss_weights = ws
@@ -68,19 +70,13 @@ class TrainConfig:
 def parse_train_config(text: str) -> TrainConfig:
     """Flat `key = value` lines; unknown keys are hard errors."""
     kwargs = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
+    for key, val in _config_lines(text):
         if key in ("lr", "beta1", "beta2", "eps_adam", "threshold"):
-            kwargs[key] = float(val)
+            kwargs[key] = _parse_float(key, val)
         elif key in ("batch_size", "epochs", "seed"):
-            kwargs[key] = int(val)
+            kwargs[key] = _parse_int(key, val)
         elif key == "loss_weights":
-            kwargs[key] = [float(p) for p in val.split(",") if p.strip()]
+            kwargs[key] = [_parse_float(key, p) for p in val.split(",") if p.strip()]
         else:
             raise ValueError(f"unknown config key {key!r}; valid keys: {TRAIN_KEYS}")
     return TrainConfig(**kwargs)
@@ -185,7 +181,7 @@ def train_loop(params: ModelParams, dataset: list, cfg: TrainConfig,
                 raise RuntimeError(f"non-finite loss at step {step}: {loss_val}")
             backward(loss)
             adam_step(state, cfg)
-            pred = binarize(_stable_probs(out.fused.data), cfg.threshold)
+            pred = binarize(_stable_sigmoid(out.fused.data), cfg.threshold)
             batch_iou = iou_dataset([pred], [y.data])
             rows.append((step, loss_val, batch_iou))
             step += 1
@@ -199,11 +195,6 @@ def train_loop(params: ModelParams, dataset: list, cfg: TrainConfig,
     if curve_path is not None:
         write_curve(rows, curve_path)
     return {"rows": rows, "state": state}
-
-
-def _stable_probs(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(logits))
-    return np.where(logits >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def write_curve(rows: list, path) -> None:
@@ -255,10 +246,25 @@ def load_checkpoint(path, params: ModelParams) -> dict:
     or None}. Any missing, extra, or shape-mismatched tensor is a hard error
     naming it.
     """
-    entries = tio.load_entries(path)
+    return _restore(tio.load_entries(path), params)[1]
+
+
+def open_checkpoint(path) -> tuple:
+    """Build a model from the config stored in a checkpoint and load into it.
+
+    Returns (params, info) with info as in load_checkpoint.
+    """
+    return _restore(tio.load_entries(path))
+
+
+def _restore(entries: dict, params: ModelParams = None) -> tuple:
+    """Load checkpoint entries into params (built from the stored config when
+    None); returns (params, info)."""
     if "meta.model_cfg" not in entries:
         raise ValueError("checkpoint missing entry 'meta.model_cfg'")
     stored_cfg = _tensor_text(entries["meta.model_cfg"])
+    if params is None:
+        params = ModelParams(parse_model_config(stored_cfg), Prng(0))
     expected = render_model_config(params.cfg)
     if stored_cfg != expected:
         raise ValueError("checkpoint model config does not match this model:\n"
@@ -298,39 +304,32 @@ def load_checkpoint(path, params: ModelParams) -> dict:
     extra = sorted(set(entries) - known)
     if extra:
         raise ValueError(f"checkpoint holds unknown tensors: {extra}")
-    return {"state": state, "step": step, "train_cfg": train_cfg}
-
-
-def open_checkpoint(path) -> tuple:
-    """Build a model from the config stored in a checkpoint and load into it.
-
-    Returns (params, info) with info as in load_checkpoint.
-    """
-    entries = tio.load_entries(path)
-    if "meta.model_cfg" not in entries:
-        raise ValueError("checkpoint missing entry 'meta.model_cfg'")
-    cfg = parse_model_config(_tensor_text(entries["meta.model_cfg"]))
-    params = build_model(cfg, Prng(0))
-    info = load_checkpoint(path, params)
-    return params, info
+    return params, {"state": state, "step": step, "train_cfg": train_cfg}
 
 
 # ---------------------------------------------------------------------------
 # evaluation / ablation harness
 
 
-def evaluate_dataset(params: ModelParams, dataset: list, thr: float = 0.5) -> dict:
-    """Eval-mode fused-head metrics over a sample list."""
+def evaluate_dataset(params: ModelParams, dataset: list, thr: float = 0.5,
+                     n_thresholds: int = 0, fpr_mode: str = "standard") -> dict:
+    """Eval-mode fused-head metrics over a sample list: infer every image once,
+    then `metrics.compute_report` (with a ROC when n_thresholds > 0).
+
+    Returns {"iou", "niou", "per_sample", "scores", "gts", "report"}.
+    """
     if not dataset:
         raise ValueError("evaluation dataset is empty")
     scores = [infer(params, s.image).data[0, 0] for s in dataset]
     gts = [s.mask.data[0, 0] for s in dataset]
-    preds = [binarize(s, thr) for s in scores]
-    return {"iou": iou_dataset(preds, gts),
-            "niou": niou(preds, gts),
-            "per_sample": [per_sample_iou(p, g) for p, g in zip(preds, gts)],
+    report = compute_report(scores, gts, thr=thr, n_thresholds=n_thresholds,
+                            fpr_mode=fpr_mode)
+    return {"iou": report.iou,
+            "niou": report.niou,
+            "per_sample": report.per_sample_iou,
             "scores": scores,
-            "gts": gts}
+            "gts": gts,
+            "report": report}
 
 
 def run_ablation(dataset: list, train_cfg: TrainConfig, out_path=None,
@@ -341,7 +340,7 @@ def run_ablation(dataset: list, train_cfg: TrainConfig, out_path=None,
     rows = []
     for ica_enabled in (True, False):
         cfg = ModelConfig(preset=preset, ica_enabled=ica_enabled, gate_kind=gate_kind)
-        params = build_model(cfg, Prng(train_cfg.seed))
+        params = ModelParams(cfg, Prng(train_cfg.seed))
         train_loop(params, dataset, train_cfg, max_steps=max_steps)
         scores = evaluate_dataset(params, dataset, train_cfg.threshold)
         label = "ica_on" if ica_enabled else "ica_off"

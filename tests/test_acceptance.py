@@ -16,10 +16,10 @@ from nuseg.data import (DatasetTemplate, gen_dataset, gen_scene, load_pgm,
 from nuseg.ica import IcaParams, channel_attention, ica_forward
 from nuseg.io import load_tensor, save_tensor
 from nuseg.metrics import binarize, iou_dataset, niou, roc
-from nuseg.model import (ModelConfig, _conv_macs, build_model, count_flops,
+from nuseg.model import (ModelConfig, ModelParams, _conv_macs, count_flops,
                          count_params, forward, forward_features)
 from nuseg.prng import Prng
-from nuseg.rsu import RsuSpec, build_rsu, rsu_forward
+from nuseg.rsu import RsuParams, RsuSpec, rsu_forward
 from nuseg.tensor import (Tensor, activation, add, batch_norm, bce_loss,
                           channel_pool, concat_channels, conv2d,
                           global_avg_pool, grad_check, linear, max_pool2d,
@@ -132,8 +132,8 @@ def _composed_error(seed):
     """Grad-check a full miniature path: pooling block into dilated block
     into the attention fusion into a side head, against a BCE target."""
     prng = Prng(seed)
-    rsu_a = build_rsu(RsuSpec(3, 1, 1, 4, "pooling"), prng)
-    rsu_b = build_rsu(RsuSpec(3, 4, 1, 4, "dilated"), prng)
+    rsu_a = RsuParams(RsuSpec(3, 1, 1, 4, "pooling"), prng)
+    rsu_b = RsuParams(RsuSpec(3, 4, 1, 4, "dilated"), prng)
     ica = IcaParams(prng, 4)
     head = Conv(prng, 8, 1, k=3)
     x = Tensor(prng.normal((1, 1, 4, 4)))
@@ -175,7 +175,7 @@ def test_c02_resolution_maintenance():
     the input resolution for 64/96/128-pixel squares."""
     for preset in ("tiny", "small"):
         cfg = ModelConfig(preset=preset)
-        params = build_model(cfg, Prng(40))
+        params = ModelParams(cfg, Prng(40))
         for size in (64, 96, 128):
             x = Tensor(Prng(41).normal((1, 3, size, size)))
             out = forward(params, x, training=False)
@@ -189,7 +189,7 @@ def test_c03_residual_identity():
     """Zeroing the top decoder kernel and its BN gamma removes the inner U
     entirely, leaving the input conv bit for bit, in both block modes."""
     for mode in ("pooling", "dilated"):
-        params = build_rsu(RsuSpec(3, 3, 2, 4, mode), Prng(50))
+        params = RsuParams(RsuSpec(3, 3, 2, 4, mode), Prng(50))
         top = params.dec_top()
         top.w.data[:] = 0.0
         top.bn.gamma.data[:] = 0.0
@@ -285,7 +285,7 @@ def test_c07_overfit_trainability(tmp_path):
     passes = 0
     for seed in range(5):
         scenes = _scene_set(tmp_path / f"overfit{seed}", 8, 1000 + seed)
-        params = build_model(ModelConfig(preset="tiny"), Prng(seed))
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(seed))
         result = train_loop(params, scenes, TrainConfig(seed=seed, epochs=1000),
                             max_steps=300)
         rows = result["rows"]
@@ -301,9 +301,9 @@ def test_c08_attention_ablation(tmp_path):
     """Toggling the attention path leaves encoder activations bit-identical
     and changes every decoder output; the harness writes the two-row
     config/iou/niou report for the same synthetic scenes."""
-    params_on = build_model(ModelConfig(preset="tiny", ica_enabled=True),
+    params_on = ModelParams(ModelConfig(preset="tiny", ica_enabled=True),
                             Prng(5))
-    params_off = build_model(ModelConfig(preset="tiny", ica_enabled=False),
+    params_off = ModelParams(ModelConfig(preset="tiny", ica_enabled=False),
                              Prng(5))
     x = Tensor(Prng(8).normal((1, 3, 64, 64)))
     feats_on = forward_features(params_on, x, training=False)
@@ -335,7 +335,7 @@ def test_c09_determinism_and_persistence(tmp_path):
     cfg = TrainConfig(seed=11, epochs=2, batch_size=2)
     curves = []
     for run in ("a", "b"):
-        params = build_model(ModelConfig(preset="tiny"), Prng(7))
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(7))
         curve_path = tmp_path / f"curve_{run}.csv"
         train_loop(params, scenes, cfg, curve_path=curve_path)
         curves.append(curve_path.read_bytes())
@@ -343,7 +343,7 @@ def test_c09_determinism_and_persistence(tmp_path):
 
     p1, p2 = tmp_path / "one.ckpt", tmp_path / "two.ckpt"
     save_checkpoint(p1, params, step=3, train_cfg=cfg)
-    restored = build_model(ModelConfig(preset="tiny"), Prng(99))
+    restored = ModelParams(ModelConfig(preset="tiny"), Prng(99))
     load_checkpoint(p1, restored)
     save_checkpoint(p2, restored, step=3, train_cfg=cfg)
     assert p1.read_bytes() == p2.read_bytes()
@@ -395,7 +395,7 @@ def test_c10_counting_correctness(capsys):
               + (9 * 8 + 1) + (9 * 16 + 1) + (9 * 16 + 1)  # side heads
               + (3 + 1))                                   # fusion 1x1
     assert ledger == 35883
-    params = build_model(ModelConfig(preset="tiny"), Prng(0))
+    params = ModelParams(ModelConfig(preset="tiny"), Prng(0))
     assert count_params(params) == ledger
 
     assert (_conv_macs(3, 8, 3, 10, 10)
@@ -404,7 +404,7 @@ def test_c10_counting_correctness(capsys):
             == 21600)
 
     full = ModelConfig(preset="full")
-    full_params = count_params(build_model(full, Prng(1)))
+    full_params = count_params(ModelParams(full, Prng(1)))
     full_macs = count_flops(full, 320, 320)
     with capsys.disabled():
         print(f"\nfull preset: params={full_params:,} (reference 50.54M), "

@@ -11,7 +11,7 @@ import pytest
 from nuseg import io as tio
 from nuseg.cli import main
 from nuseg.data import load_dataset, load_pgm
-from nuseg.model import build_model, parse_model_config
+from nuseg.model import ModelParams, parse_model_config
 from nuseg.prng import Prng
 from nuseg.train import evaluate_dataset, open_checkpoint
 
@@ -83,7 +83,7 @@ class TestTrain:
         assert main(["train", "--data", str(workdir["data"]),
                      "--train-cfg", str(cfg), "--out", str(ckpt)]) == 0
         params, info = open_checkpoint(ckpt)
-        init = build_model(parse_model_config(""), Prng(21))
+        init = ModelParams(parse_model_config(""), Prng(21))
         for stored, fresh in zip(params.trainables(), init.trainables()):
             np.testing.assert_array_equal(stored.data, fresh.data)
 
@@ -183,6 +183,24 @@ class TestReport:
                     (out_dir / "report.csv").read_text().splitlines()[1:])
         assert float(out["iou"]) == float(rows["iou"])
         assert float(out["auc"]) == float(rows["auc"])
+
+
+class TestSharedEvaluation:
+    def test_roc_and_report_write_identical_roc_csv(self, workdir, tmp_path, capsys):
+        roc_csv = tmp_path / "roc.csv"
+        assert main(["roc", "--ckpt", str(workdir["ckpt"]), "--data", str(workdir["data"]),
+                     "--n-thr", "9", "--out", str(roc_csv)]) == 0
+        assert main(["report", "--ckpt", str(workdir["ckpt"]), "--data", str(workdir["data"]),
+                     "--n-thr", "9", "--out-dir", str(tmp_path / "rep")]) == 0
+        assert roc_csv.read_bytes() == (tmp_path / "rep" / "roc.csv").read_bytes()
+
+    @pytest.mark.parametrize("command,out_flag", [("roc", "--out"), ("report", "--out-dir")])
+    def test_zero_thresholds_is_runtime_error(self, workdir, tmp_path, capsys,
+                                              command, out_flag):
+        code = main([command, "--ckpt", str(workdir["ckpt"]), "--data", str(workdir["data"]),
+                     "--n-thr", "0", out_flag, str(tmp_path / "x")])
+        assert code == 1
+        assert "n_thresholds must be >= 1" in capsys.readouterr().err
 
 
 class TestParser:

@@ -263,8 +263,27 @@ class TestPgm:
     def test_truncated_header_rejected(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n2")
-        with pytest.raises(ValueError, match="truncated PGM header"):
+        with pytest.raises(ValueError, match="truncated PGM header") as err:
             load_pgm(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("header", [b"P5\n0 4\n255\n", b"P5\n4 0\n255\n"])
+    def test_zero_size_header_rejected(self, tmp_path, header):
+        path = tmp_path / "t.pgm"
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match="at least 1x1") as err:
+            load_pgm(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("header,field", [(b"P5\nab 4\n255\n", "width"),
+                                              (b"P5\n4 -4\n255\n", "height"),
+                                              (b"P5\n1 1\n2_55\n\x00", "maxval")])
+    def test_non_integer_header_token_names_the_file(self, tmp_path, header, field):
+        path = tmp_path / "t.pgm"
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match=f"PGM {field} must be a decimal integer") as err:
+            load_pgm(path)
+        assert str(path) in str(err.value)
 
     def test_save_requires_2d(self, tmp_path):
         with pytest.raises(ValueError, match="2-D"):

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from nuseg.layers import Conv
-from nuseg.model import (CONFIG_KEYS, ModelConfig, build_model, count_flops,
+from nuseg.model import (CONFIG_KEYS, ModelConfig, ModelParams, count_flops,
                          count_params, forward, forward_features, infer,
-                         make_model_config, parse_model_config,
-                         render_model_config)
+                         parse_model_config, render_model_config)
 from nuseg.prng import Prng
 from nuseg.tensor import Tensor, add, backward, sum_all
 
@@ -108,8 +107,8 @@ class TestConfigText:
         assert cfg.preset == "small"
 
     def test_round_trip(self):
-        cfg = make_model_config(preset="small", stages=5, ica_enabled=False,
-                                gate_kind="relu", mid_overrides={2: 12})
+        cfg = ModelConfig(preset="small", stages=5, ica_enabled=False,
+                          gate_kind="relu", mid_overrides={2: 12})
         again = parse_model_config(render_model_config(cfg))
         assert render_model_config(again) == render_model_config(cfg)
         assert again.stages == 5 and again.mid_overrides == {2: 12}
@@ -143,7 +142,7 @@ class TestForwardShapes:
                                              ("small", 32), ("small", 64)])
     def test_all_maps_match_input_resolution(self, preset, size):
         cfg = ModelConfig(preset=preset)
-        params = build_model(cfg, Prng(0))
+        params = ModelParams(cfg, Prng(0))
         out = forward(params, image(1, n=2, size=size), training=True)
         assert len(out.d) == cfg.n_side
         for t in out.d + [out.fused]:
@@ -151,26 +150,26 @@ class TestForwardShapes:
 
     def test_encoder_decoder_feature_resolutions(self):
         cfg = ModelConfig(preset="tiny")
-        params = build_model(cfg, Prng(0))
+        params = ModelParams(cfg, Prng(0))
         feats = forward_features(params, image(2, size=32), training=True)
         assert [f.data.shape[2] for f in feats["enc"]] == [32, 16, 8]
         assert [f.data.shape[2] for f in feats["dec"]] == [16, 32]
         assert [f.data.shape[1] for f in feats["enc"]] == [8, 16, 16]
 
     def test_indivisible_input_names_required_padding(self):
-        params = build_model(ModelConfig(preset="tiny"), Prng(0))
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(0))
         with pytest.raises(ValueError, match=r"pad by 2 rows and 2 cols"):
             forward(params, Tensor(np.zeros((1, 3, 30, 30), dtype=np.float32)),
                     training=True)
 
     def test_wrong_channel_count_rejected(self):
-        params = build_model(ModelConfig(preset="tiny"), Prng(0))
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(0))
         with pytest.raises(ValueError, match=r"\[N,3,H,W\]"):
             forward(params, Tensor(np.zeros((1, 1, 32, 32), dtype=np.float32)),
                     training=True)
 
     def test_probability_maps_are_sigmoid_of_logits_fused_last(self):
-        params = build_model(ModelConfig(preset="tiny"), Prng(3))
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(3))
         out = forward(params, image(4), training=True)
         probs = out.probability_maps()
         assert len(probs) == 4
@@ -182,7 +181,7 @@ class TestZeroedHeads:
     def test_all_probability_maps_exactly_half(self):
         """Zero side heads and fusion make every logit exactly zero, so all
         K+1 probability maps are exactly 0.5 everywhere."""
-        params = build_model(ModelConfig(preset="tiny"), Prng(5))
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(5))
         for head in params.heads + [params.fuse]:
             head.w.data[:] = 0.0
             head.b.data[:] = 0.0
@@ -196,8 +195,8 @@ class TestAttentionToggle:
     def test_encoder_draws_identical_across_toggle(self):
         """Encoders build first, so disabling attention must not shift their
         init draws."""
-        on = build_model(ModelConfig(preset="tiny", ica_enabled=True), Prng(7))
-        off = build_model(ModelConfig(preset="tiny", ica_enabled=False), Prng(7))
+        on = ModelParams(ModelConfig(preset="tiny", ica_enabled=True), Prng(7))
+        off = ModelParams(ModelConfig(preset="tiny", ica_enabled=False), Prng(7))
         named_on, named_off = on.named(), off.named()
         enc_keys = [k for k in named_on if k.startswith("en")]
         assert enc_keys
@@ -205,16 +204,16 @@ class TestAttentionToggle:
             np.testing.assert_array_equal(named_on[key].data, named_off[key].data)
 
     def test_disabled_attention_has_no_gate_params(self):
-        off = build_model(ModelConfig(preset="tiny", ica_enabled=False), Prng(7))
+        off = ModelParams(ModelConfig(preset="tiny", ica_enabled=False), Prng(7))
         assert not any(k.startswith(("ica", "proj")) for k in off.named())
-        on = build_model(ModelConfig(preset="tiny", ica_enabled=True), Prng(7))
+        on = ModelParams(ModelConfig(preset="tiny", ica_enabled=True), Prng(7))
         assert any(k.startswith("ica2.") for k in on.named())
         assert any(k.startswith("proj1.") for k in on.named())
 
     def test_decoder_outputs_change_with_toggle(self):
         x = image(8)
-        on = build_model(ModelConfig(preset="tiny", ica_enabled=True), Prng(7))
-        off = build_model(ModelConfig(preset="tiny", ica_enabled=False), Prng(7))
+        on = ModelParams(ModelConfig(preset="tiny", ica_enabled=True), Prng(7))
+        off = ModelParams(ModelConfig(preset="tiny", ica_enabled=False), Prng(7))
         a = forward(on, x, training=False).fused.data
         b = forward(off, x, training=False).fused.data
         assert not np.array_equal(a, b)
@@ -222,7 +221,7 @@ class TestAttentionToggle:
 
 class TestGradientReach:
     def test_every_trainable_receives_a_gradient_buffer(self):
-        params = build_model(ModelConfig(preset="tiny"), Prng(9))
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(9))
         out = forward(params, image(10), training=True)
         loss = sum_all(out.fused)
         for d in out.d:
@@ -237,7 +236,7 @@ class TestGradientReach:
 
 class TestInfer:
     def test_probabilities_bounded_and_deterministic(self):
-        params = build_model(ModelConfig(preset="tiny"), Prng(11))
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(11))
         x = image(12)
         p1 = infer(params, x).data
         p2 = infer(params, x).data
@@ -245,14 +244,14 @@ class TestInfer:
         assert np.all(p1 >= 0.0) and np.all(p1 <= 1.0)
 
     def test_eval_mode_leaves_running_stats_alone(self):
-        params = build_model(ModelConfig(preset="tiny"), Prng(13))
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(13))
         key = "en1.cin.bn.rm"
         before = params.named()[key].data.copy()
         infer(params, image(14))
         np.testing.assert_array_equal(params.named()[key].data, before)
 
     def test_training_forward_moves_running_stats(self):
-        params = build_model(ModelConfig(preset="tiny"), Prng(13))
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(13))
         key = "en1.cin.bn.rm"
         before = params.named()[key].data.copy()
         forward(params, image(14), training=True)
@@ -265,14 +264,14 @@ class TestCounters:
         assert sum(t.data.size for t in conv.trainables()) == 8 * 3 * 9 + 8
 
     def test_count_params_equals_named_trainables(self):
-        params = build_model(ModelConfig(preset="tiny"), Prng(15))
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(15))
         named_total = sum(t.data.size for t in params.named().values()
                           if t.requires_grad)
         assert count_params(params) == named_total
 
     def test_attention_adds_params(self):
-        on = count_params(build_model(ModelConfig(preset="tiny"), Prng(0)))
-        off = count_params(build_model(
+        on = count_params(ModelParams(ModelConfig(preset="tiny"), Prng(0)))
+        off = count_params(ModelParams(
             ModelConfig(preset="tiny", ica_enabled=False), Prng(0)))
         assert on > off
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nuseg.prng import Prng
-from nuseg.rsu import (RsuParams, RsuSpec, build_rsu, conv_receptive_field,
+from nuseg.rsu import (RsuParams, RsuSpec, conv_receptive_field,
                        dilation_schedule, rsu_forward, rsu_receptive_field)
 from nuseg.tensor import (Tape, Tensor, backward, mul_broadcast, sum_all,
                           zero_grads)
@@ -18,7 +18,7 @@ from oracles import rsu_forward_loops
 
 
 def make(depth, in_ch, mid_ch, out_ch, mode, seed=0):
-    return build_rsu(RsuSpec(depth, in_ch, mid_ch, out_ch, mode), Prng(seed))
+    return RsuParams(RsuSpec(depth, in_ch, mid_ch, out_ch, mode), Prng(seed))
 
 
 class TestSpecValidation:
@@ -156,7 +156,7 @@ class TestReceptiveField:
         spec = RsuSpec(3, 1, 1, 1, "dilated")
         rf = rsu_receptive_field(spec)  # 23 -> radius 11
         radius = (rf - 1) // 2
-        params = build_rsu(spec, Prng(0))
+        params = RsuParams(spec, Prng(0))
         for unit in ([params.conv_in] + params.encs + [params.bottom] + params.decs):
             unit.w.data[:] = 0.05
             unit.b.data[:] = 0.0

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from nuseg import io as tio
-from nuseg.model import ModelConfig, build_model, forward
+from nuseg.metrics import compute_report
+from nuseg.model import ModelConfig, ModelParams, forward
 from nuseg.prng import Prng
 from nuseg.tensor import Tensor
 from nuseg.train import (AdamState, TRAIN_KEYS, TrainConfig, adam_step,
@@ -38,7 +39,7 @@ def tiny_sample(seed, size=32):
 
 
 def tiny_setup(seed=0, n=2, size=32, **cfg_kwargs):
-    params = build_model(ModelConfig(preset="tiny"), Prng(seed))
+    params = ModelParams(ModelConfig(preset="tiny"), Prng(seed))
     dataset = [tiny_sample(100 + i, size) for i in range(n)]
     cfg = TrainConfig(seed=seed, **cfg_kwargs)
     return params, dataset, cfg
@@ -131,12 +132,42 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="u64"):
             TrainConfig(seed=2 ** 64)
 
+    @pytest.mark.parametrize("key", ["lr", "eps_adam"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rate_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{key: value})
+
+    @pytest.mark.parametrize("value", [-0.1, 1.5, 7.0, float("nan")])
+    def test_threshold_range(self, value):
+        with pytest.raises(ValueError, match="threshold"):
+            TrainConfig(threshold=value)
+
+    def test_non_finite_weight_rejected(self):
+        with pytest.raises(ValueError, match="loss_weights"):
+            TrainConfig(loss_weights=[1.0, float("nan")])
+
+    def test_parsed_nan_lr_is_rejected_before_training(self):
+        with pytest.raises(ValueError, match="lr"):
+            parse_train_config("lr = nan\nthreshold = 7\n")
+
+    @pytest.mark.parametrize("text,key", [("lr = fast\n", "lr"),
+                                          ("epochs = ten\n", "epochs"),
+                                          ("loss_weights = 1,x\n", "loss_weights")])
+    def test_unparsable_value_names_the_key(self, text, key):
+        with pytest.raises(ValueError, match=key):
+            parse_train_config(text)
+
+    def test_line_without_equals_names_the_line(self):
+        with pytest.raises(ValueError, match="line 2: expected key = value"):
+            parse_train_config("lr = 0.1\nepochs 3\n")
+
 
 class TestTotalLoss:
     def test_zero_logits_give_weighted_ln2(self):
         """Every probability map is 0.5 when the heads emit zeros, and BCE
         against any target is then ln 2; weights sum linearly."""
-        params = build_model(ModelConfig(preset="tiny"), Prng(1))
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(1))
         for head in params.heads + [params.fuse]:
             head.w.data[:] = 0.0
             head.b.data[:] = 0.0
@@ -148,7 +179,7 @@ class TestTotalLoss:
                                    rtol=1e-6)
 
     def test_one_hot_fused_weight_equals_plain_bce(self):
-        params = build_model(ModelConfig(preset="tiny"), Prng(2))
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(2))
         sample = tiny_sample(1)
         out = forward(params, sample.image, training=True)
         loss = total_loss(out, sample.mask, [0.0, 0.0, 0.0, 1.0])
@@ -158,7 +189,7 @@ class TestTotalLoss:
         assert float(loss.data) == float(only.data)
 
     def test_matches_float64_accumulation(self):
-        params = build_model(ModelConfig(preset="tiny"), Prng(3))
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(3))
         sample = tiny_sample(2)
         out = forward(params, sample.image, training=True)
         weights = [0.7, 1.3, 0.2, 1.0]
@@ -169,7 +200,7 @@ class TestTotalLoss:
         np.testing.assert_allclose(loss, want, rtol=1e-5)
 
     def test_wrong_weight_count_is_an_error(self):
-        params = build_model(ModelConfig(preset="tiny"), Prng(4))
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(4))
         sample = tiny_sample(3)
         out = forward(params, sample.image, training=True)
         with pytest.raises(ValueError, match="need 4 loss weights"):
@@ -231,14 +262,14 @@ class TestTrainLoop:
             train_loop(params, dataset, cfg, max_steps=1)
 
     def test_mixed_sizes_cannot_batch(self):
-        params = build_model(ModelConfig(preset="tiny"), Prng(10))
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(10))
         dataset = [tiny_sample(0, size=32), tiny_sample(1, size=48)]
         cfg = TrainConfig(epochs=1, batch_size=2)
         with pytest.raises(ValueError, match="mixed image sizes"):
             train_loop(params, dataset, cfg, max_steps=1)
 
     def test_empty_dataset_rejected(self):
-        params = build_model(ModelConfig(preset="tiny"), Prng(11))
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(11))
         with pytest.raises(ValueError, match="empty"):
             train_loop(params, [], TrainConfig())
 
@@ -259,17 +290,17 @@ class TestCheckpoint:
         p1 = tmp_path / "a.ckpt"
         p2 = tmp_path / "b.ckpt"
         save_checkpoint(p1, params, state=result["state"], step=2, train_cfg=cfg)
-        fresh = build_model(ModelConfig(preset="tiny"), Prng(99))
+        fresh = ModelParams(ModelConfig(preset="tiny"), Prng(99))
         info = load_checkpoint(p1, fresh)
         save_checkpoint(p2, fresh, state=info["state"], step=info["step"],
                         train_cfg=info["train_cfg"])
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_load_restores_all_tensors_in_place(self, tmp_path):
-        params = build_model(ModelConfig(preset="tiny"), Prng(14))
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(14))
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, params, step=7)
-        fresh = build_model(ModelConfig(preset="tiny"), Prng(15))
+        fresh = ModelParams(ModelConfig(preset="tiny"), Prng(15))
         info = load_checkpoint(path, fresh)
         assert info["step"] == 7 and info["state"] is None
         for key, t in params.named().items():
@@ -277,46 +308,46 @@ class TestCheckpoint:
                                           err_msg=key)
 
     def test_config_mismatch_is_rejected(self, tmp_path):
-        params = build_model(ModelConfig(preset="tiny"), Prng(16))
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(16))
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, params)
-        other = build_model(ModelConfig(preset="tiny", ica_enabled=False), Prng(16))
+        other = ModelParams(ModelConfig(preset="tiny", ica_enabled=False), Prng(16))
         with pytest.raises(ValueError, match="does not match"):
             load_checkpoint(path, other)
 
     def test_missing_tensor_is_named(self, tmp_path):
-        params = build_model(ModelConfig(preset="tiny"), Prng(17))
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(17))
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, params)
         entries = tio.load_entries(path)
         del entries["fuse.b"]
         tio.save_entries(path, entries)
         with pytest.raises(ValueError, match="missing tensor 'fuse.b'"):
-            load_checkpoint(path, build_model(ModelConfig(preset="tiny"), Prng(0)))
+            load_checkpoint(path, ModelParams(ModelConfig(preset="tiny"), Prng(0)))
 
     def test_shape_mismatch_is_named(self, tmp_path):
-        params = build_model(ModelConfig(preset="tiny"), Prng(18))
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(18))
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, params)
         entries = tio.load_entries(path)
         entries["fuse.w"] = np.zeros((2, 3, 1, 1), dtype=np.float32)
         tio.save_entries(path, entries)
         with pytest.raises(ValueError, match="'fuse.w' has shape"):
-            load_checkpoint(path, build_model(ModelConfig(preset="tiny"), Prng(0)))
+            load_checkpoint(path, ModelParams(ModelConfig(preset="tiny"), Prng(0)))
 
     def test_unknown_extra_tensor_is_rejected(self, tmp_path):
-        params = build_model(ModelConfig(preset="tiny"), Prng(19))
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(19))
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, params)
         entries = tio.load_entries(path)
         entries["mystery"] = np.zeros(3, dtype=np.float32)
         tio.save_entries(path, entries)
         with pytest.raises(ValueError, match="unknown tensors.*mystery"):
-            load_checkpoint(path, build_model(ModelConfig(preset="tiny"), Prng(0)))
+            load_checkpoint(path, ModelParams(ModelConfig(preset="tiny"), Prng(0)))
 
     def test_open_checkpoint_rebuilds_the_stored_architecture(self, tmp_path):
         cfg = ModelConfig(preset="small", ica_enabled=False)
-        params = build_model(cfg, Prng(20))
+        params = ModelParams(cfg, Prng(20))
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, params, step=3)
         restored, info = open_checkpoint(path)
@@ -325,19 +356,54 @@ class TestCheckpoint:
         assert info["step"] == 3
         np.testing.assert_array_equal(restored.fuse.w.data, params.fuse.w.data)
 
+    def test_open_checkpoint_reads_the_file_once(self, tmp_path, monkeypatch):
+        params, dataset, cfg = tiny_setup(seed=25, epochs=1, batch_size=2)
+        state = train_loop(params, dataset, cfg, max_steps=1)["state"]
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, state=state, step=1, train_cfg=cfg)
+        calls = []
+        real_load = tio.load_entries
+
+        def counting_load(p):
+            calls.append(p)
+            return real_load(p)
+
+        monkeypatch.setattr(tio, "load_entries", counting_load)
+        restored, info = open_checkpoint(path)
+        assert calls == [path]
+        assert info["step"] == 1 and info["train_cfg"] == cfg
+        assert info["state"].t == 1
+        np.testing.assert_array_equal(info["state"].m[0], state.m[0])
+
 
 class TestEvaluationHarness:
     def test_evaluate_dataset_shapes_and_ranges(self):
         params, dataset, cfg = tiny_setup(seed=21)
         scores = evaluate_dataset(params, dataset)
-        assert set(scores) == {"iou", "niou", "per_sample", "scores", "gts"}
+        assert set(scores) == {"iou", "niou", "per_sample", "scores", "gts", "report"}
         assert 0.0 <= scores["iou"] <= 1.0
         assert 0.0 <= scores["niou"] <= 1.0
         assert len(scores["per_sample"]) == 2
         assert scores["scores"][0].shape == (32, 32)
 
+    def test_report_is_the_metrics_report_of_the_scores(self):
+        params, dataset, cfg = tiny_setup(seed=24)
+        result = evaluate_dataset(params, dataset, 0.4, n_thresholds=5,
+                                  fpr_mode="paper_literal")
+        want = compute_report(result["scores"], result["gts"], thr=0.4,
+                              n_thresholds=5, fpr_mode="paper_literal")
+        got = result["report"]
+        assert (got.iou, got.niou, got.per_sample_iou) == (want.iou, want.niou,
+                                                           want.per_sample_iou)
+        assert (result["iou"], result["niou"]) == (got.iou, got.niou)
+        assert result["per_sample"] == got.per_sample_iou
+        assert got.roc.fpr_mode == "paper_literal"
+        np.testing.assert_array_equal(got.roc.fpr, want.roc.fpr)
+        np.testing.assert_array_equal(got.roc.tpr, want.roc.tpr)
+        assert evaluate_dataset(params, dataset)["report"].roc is None
+
     def test_evaluate_empty_dataset_rejected(self):
-        params = build_model(ModelConfig(preset="tiny"), Prng(22))
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(22))
         with pytest.raises(ValueError, match="empty"):
             evaluate_dataset(params, [])
 
