@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import BnParams, he_conv, zeros_param
+from .layers import BnParams, _he_normal, zeros_param
 from .prng import Prng
 from .tensor import (Tensor, activation, channel_pool, concat_channels, conv2d,
                      global_avg_pool, linear, mul_broadcast, upsample_bilinear)
@@ -23,11 +23,6 @@ __all__ = ["IcaParams", "IcaOutput", "channel_gate", "channel_attention",
            "spatial_gate", "spatial_attention", "ica_forward"]
 
 GATE_KINDS = ("sigmoid", "relu")
-
-
-def _he_linear(prng: Prng, cout: int, cin: int) -> Tensor:
-    std = float(np.sqrt(2.0 / cin))
-    return Tensor(prng.normal((cout, cin), std=std), requires_grad=True)
 
 
 class IcaParams:
@@ -44,16 +39,16 @@ class IcaParams:
         self.channels = channels
         self.reduction = reduction
         squeezed = channels // reduction
-        self.w1 = _he_linear(prng, squeezed, channels)
+        self.w1 = _he_normal(prng, (squeezed, channels))
         self.b1 = zeros_param(squeezed)
         self.bn1 = BnParams(squeezed)
-        self.w2 = _he_linear(prng, channels, squeezed)
+        self.w2 = _he_normal(prng, (channels, squeezed))
         self.b2 = zeros_param(channels)
         self.bn2 = BnParams(channels)
-        self.c1_w = he_conv(prng, squeezed, channels, 1)
+        self.c1_w = _he_normal(prng, (squeezed, channels, 1, 1))
         self.c1_bias = Tensor(np.zeros(squeezed, dtype=np.float32))  # fixed 0, BN follows
         self.c1_bn = BnParams(squeezed)
-        self.c3_w = he_conv(prng, 1, 2, 3)
+        self.c3_w = _he_normal(prng, (1, 2, 3, 3))
         self.c3_b = zeros_param(1)
 
     def named(self, prefix: str) -> dict:

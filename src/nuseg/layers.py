@@ -1,22 +1,27 @@
 """Shared building blocks: parameter containers and the conv-BN-relu unit.
 
-Initialization convention used everywhere: He-normal conv kernels with
+Initialization convention used everywhere: He-normal weights with
 std = sqrt(2 / fan_in), zero biases, BN gamma 1 and beta 0. All randomness
 is drawn from an explicit Prng so construction order fixes the weights.
 """
+
+import math
 
 import numpy as np
 
 from .prng import Prng
 from .tensor import Tensor, activation, batch_norm, conv2d
 
-__all__ = ["he_conv", "zeros_param", "BnParams", "ConvBnRelu", "Conv"]
+__all__ = ["zeros_param", "BnParams", "ConvBnRelu", "Conv"]
 
 
-def he_conv(prng: Prng, cout: int, cin: int, k: int) -> Tensor:
-    fan_in = cin * k * k
-    std = float(np.sqrt(2.0 / fan_in))
-    return Tensor(prng.normal((cout, cin, k, k), std=std), requires_grad=True)
+def _he_normal(prng: Prng | None, shape: tuple) -> Tensor:
+    """He-normal weight; fan_in is the product of the trailing dims. With no
+    prng it draws nothing and returns zeros."""
+    if prng is None:
+        return zeros_param(shape)
+    std = float(np.sqrt(2.0 / math.prod(shape[1:])))
+    return Tensor(prng.normal(shape, std=std), requires_grad=True)
 
 
 def zeros_param(shape) -> Tensor:
@@ -57,7 +62,7 @@ class ConvBnRelu:
 
     def __init__(self, prng: Prng, cin: int, cout: int, k: int = 3,
                  dilation: int = 1, with_relu: bool = True):
-        self.w = he_conv(prng, cout, cin, k)
+        self.w = _he_normal(prng, (cout, cin, k, k))
         self.b = zeros_param(cout)
         self.bn = BnParams(cout)
         self.dilation = dilation
@@ -84,7 +89,7 @@ class Conv:
     """Bare conv with bias, no normalization (side heads, fusion, projections)."""
 
     def __init__(self, prng: Prng, cin: int, cout: int, k: int = 1):
-        self.w = he_conv(prng, cout, cin, k)
+        self.w = _he_normal(prng, (cout, cin, k, k))
         self.b = zeros_param(cout)
         self.pad = k // 2
 

@@ -215,6 +215,8 @@ def compute_report(scores, gts, thr: float = 0.5, n_thresholds: int = 0,
                    fpr_mode: str = "standard") -> MetricsReport:
     """Evaluate score maps against masks at a fixed threshold, optionally
     attaching a ROC curve when n_thresholds > 0."""
+    if not 0.0 <= thr <= 1.0:  # also rejects nan
+        raise ValueError(f"thr must be in [0,1], got {thr}")
     _check_pairs(scores, gts)
     preds = [binarize(s, thr) for s in scores]
     per_sample = [per_sample_iou(p, g) for p, g in zip(preds, gts)]

@@ -209,9 +209,10 @@ class SideOutputs:
 class ModelParams:
     """All parameters; build order is encoders, then per-decoder skip modules
     and decoder blocks deepest-first, then side heads, then fusion. Encoders
-    come first so their draws do not move when attention is toggled."""
+    come first so their draws do not move when attention is toggled. With
+    prng None every weight is zero and nothing is drawn (a model to load into)."""
 
-    def __init__(self, cfg: ModelConfig, prng: Prng):
+    def __init__(self, cfg: ModelConfig, prng: Prng | None):
         self.cfg = cfg
         s = cfg.stages
         self.encoders = [RsuParams(spec, prng) for spec in cfg.encoders]
@@ -319,9 +320,17 @@ def forward(params: ModelParams, x: Tensor, training: bool) -> SideOutputs:
 
 
 def infer(params: ModelParams, image: Tensor) -> Tensor:
-    """Eval-mode probability map from the fused head: [N,1,H,W] in [0,1]."""
-    out = forward(params, image, training=False)
-    return activation(out.fused, "sigmoid")
+    """Eval-mode probability map from the fused head: [N,1,H,W] in [0,1].
+    Builds no autodiff graph: the parameters' grad flags are off for the call."""
+    saved = [(t, t.requires_grad) for t in params.trainables()]
+    try:
+        for t, _ in saved:
+            t.requires_grad = False
+        out = forward(params, image, training=False)
+        return activation(out.fused, "sigmoid")
+    finally:
+        for t, flag in saved:
+            t.requires_grad = flag
 
 
 def count_params(params: ModelParams) -> int:

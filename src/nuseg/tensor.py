@@ -2,9 +2,11 @@
 
 Feature maps are [N,C,H,W] float32 numpy arrays wrapped in `Tensor` nodes.
 Parameters reuse the same node type at rank 1 (biases, BN vectors) and rank 2
-(excitation matrices); losses are rank-0. Every op records its parents and a
-backward closure on the output node, so the graph itself is the tape: node
-creation order is a topological order, and `backward` replays it in reverse.
+(excitation matrices); losses are rank-0. Only an op with an input that
+requires grad records its parents and a backward closure on its output; any
+other op yields a constant, so a pass over tensors that require no grad builds
+no graph. The graph itself is the tape: node creation order is a topological
+order, and `backward` replays it in reverse.
 
 All math is plain numpy. Ops propagate the input dtype, which lets the
 gradient checker run an entire graph in float64 while normal execution stays
@@ -113,10 +115,16 @@ def _record(name: str, inputs: tuple, out: Tensor) -> None:
         tape.ops.append(OpRecord(name, inputs, out))
 
 
-def _make_out(data: np.ndarray, name: str, parents: tuple) -> Tensor:
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
-    out._parents = tuple(parents)
-    _record(name, tuple(parents), out)
+def _make_out(data: np.ndarray, name: str, parents: tuple, grad_fn) -> Tensor:
+    """The one place that decides graph membership: the output gets parents
+    and `grad_fn` only if some parent requires grad. Otherwise it is a constant
+    and `grad_fn` is dropped, freeing whatever only the closure held."""
+    out = Tensor(data)
+    if any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._parents = parents
+        out._backward = grad_fn
+    _record(name, parents, out)
     return out
 
 
@@ -203,26 +211,23 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0,
     # v: [N,Cin,Ho,Wo,kh,kw]; contract Cin and kernel taps against w
     out_data = np.tensordot(v, w.data, axes=([1, 4, 5], [1, 2, 3]))  # [N,Ho,Wo,Cout]
     out_data = out_data.transpose(0, 3, 1, 2) + b.data[None, :, None, None]
-    out = _make_out(out_data, "conv2d", (x, w, b))
 
-    if out.requires_grad:
-        def grad_fn(g):
-            if w.requires_grad:
-                w.accum_grad(np.tensordot(g, v, axes=([0, 2, 3], [0, 2, 3])))
-            if b.requires_grad:
-                b.accum_grad(g.sum(axis=(0, 2, 3)))
-            if x.requires_grad:
-                gxp = np.zeros_like(xp)
-                for i in range(kh):
-                    for j in range(kw):
-                        contrib = np.tensordot(g, w.data[:, :, i, j], axes=([1], [0]))
-                        gxp[:, :,
-                            i * dilation: i * dilation + ho * stride: stride,
-                            j * dilation: j * dilation + wo * stride: stride,
-                            ] += contrib.transpose(0, 3, 1, 2)
-                x.accum_grad(gxp[:, :, pad: pad + h, pad: pad + wd] if pad else gxp)
-        out._backward = grad_fn
-    return out
+    def grad_fn(g):
+        if w.requires_grad:
+            w.accum_grad(np.tensordot(g, v, axes=([0, 2, 3], [0, 2, 3])))
+        if b.requires_grad:
+            b.accum_grad(g.sum(axis=(0, 2, 3)))
+        if x.requires_grad:
+            gxp = np.zeros_like(xp)
+            for i in range(kh):
+                for j in range(kw):
+                    contrib = np.tensordot(g, w.data[:, :, i, j], axes=([1], [0]))
+                    gxp[:, :,
+                        i * dilation: i * dilation + ho * stride: stride,
+                        j * dilation: j * dilation + wo * stride: stride,
+                        ] += contrib.transpose(0, 3, 1, 2)
+            x.accum_grad(gxp[:, :, pad: pad + h, pad: pad + wd] if pad else gxp)
+    return _make_out(out_data, "conv2d", (x, w, b), grad_fn)
 
 
 def max_pool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
@@ -240,16 +245,13 @@ def max_pool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
     flat = v.reshape(n, c, ho, wo, k * k)
     idx = flat.argmax(axis=-1)  # first occurrence on ties
     out_data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    out = _make_out(out_data, "max_pool2d", (x,))
 
-    if out.requires_grad:
-        def grad_fn(g):
-            gx = np.zeros_like(x.data)
-            ni, ci, hi, wi = np.indices((n, c, ho, wo), sparse=True)
-            np.add.at(gx, (ni, ci, hi * stride + idx // k, wi * stride + idx % k), g)
-            x.accum_grad(gx)
-        out._backward = grad_fn
-    return out
+    def grad_fn(g):
+        gx = np.zeros_like(x.data)
+        ni, ci, hi, wi = np.indices((n, c, ho, wo), sparse=True)
+        np.add.at(gx, (ni, ci, hi * stride + idx // k, wi * stride + idx % k), g)
+        x.accum_grad(gx)
+    return _make_out(out_data, "max_pool2d", (x,), grad_fn)
 
 
 def _interp_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
@@ -275,13 +277,10 @@ def upsample_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     mh = _interp_matrix(h, out_h, x.data.dtype)
     mw = _interp_matrix(w, out_w, x.data.dtype)
     out_data = np.matmul(np.matmul(mh, x.data), mw.T)
-    out = _make_out(out_data, "upsample_bilinear", (x,))
 
-    if out.requires_grad:
-        def grad_fn(g):
-            x.accum_grad(np.matmul(np.matmul(mh.T, g), mw))
-        out._backward = grad_fn
-    return out
+    def grad_fn(g):
+        x.accum_grad(np.matmul(np.matmul(mh.T, g), mw))
+    return _make_out(out_data, "upsample_bilinear", (x,), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -320,26 +319,23 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu[None, :, None, None]) * inv_std[None, :, None, None]
     out_data = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-    out = _make_out(out_data, "batch_norm", (x, gamma, beta))
 
-    if out.requires_grad:
-        def grad_fn(g):
-            if gamma.requires_grad:
-                gamma.accum_grad((g * xhat).sum(axis=(0, 2, 3)))
-            if beta.requires_grad:
-                beta.accum_grad(g.sum(axis=(0, 2, 3)))
-            if x.requires_grad:
-                dxhat = g * gamma.data[None, :, None, None]
-                if training:
-                    sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-                    sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-                    gx = (inv_std[None, :, None, None] / m) * (
-                        m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
-                else:
-                    gx = dxhat * inv_std[None, :, None, None]
-                x.accum_grad(gx)
-        out._backward = grad_fn
-    return out
+    def grad_fn(g):
+        if gamma.requires_grad:
+            gamma.accum_grad((g * xhat).sum(axis=(0, 2, 3)))
+        if beta.requires_grad:
+            beta.accum_grad(g.sum(axis=(0, 2, 3)))
+        if x.requires_grad:
+            dxhat = g * gamma.data[None, :, None, None]
+            if training:
+                sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
+                sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+                gx = (inv_std[None, :, None, None] / m) * (
+                    m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+            else:
+                gx = dxhat * inv_std[None, :, None, None]
+            x.accum_grad(gx)
+    return _make_out(out_data, "batch_norm", (x, gamma, beta), grad_fn)
 
 
 def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
@@ -352,23 +348,15 @@ def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
 def activation(x: Tensor, kind: str) -> Tensor:
     """Elementwise relu or sigmoid; relu' at exactly 0 is defined as 0."""
     if kind == "relu":
-        out_data = np.maximum(x.data, 0)
-        out = _make_out(out_data, "relu", (x,))
-        if out.requires_grad:
-            mask = x.data > 0
-
-            def grad_fn(g):
-                x.accum_grad(g * mask)
-            out._backward = grad_fn
-        return out
+        def grad_fn(g):
+            x.accum_grad(g * (x.data > 0))
+        return _make_out(np.maximum(x.data, 0), "relu", (x,), grad_fn)
     if kind == "sigmoid":
         s = _stable_sigmoid(x.data).astype(x.data.dtype)
-        out = _make_out(s, "sigmoid", (x,))
-        if out.requires_grad:
-            def grad_fn(g):
-                x.accum_grad(g * s * (1.0 - s))
-            out._backward = grad_fn
-        return out
+
+        def grad_fn(g):
+            x.accum_grad(g * s * (1.0 - s))
+        return _make_out(s, "sigmoid", (x,), grad_fn)
     raise ValueError(f"unknown activation kind: {kind!r}")
 
 
@@ -388,12 +376,10 @@ def global_avg_pool(x: Tensor) -> Tensor:
     """[N,C,H,W] -> [N,C,1,1] spatial mean per channel."""
     _require_rank(x, 4, "global_avg_pool input")
     h, w = x.data.shape[2], x.data.shape[3]
-    out = _make_out(x.data.mean(axis=(2, 3), keepdims=True), "global_avg_pool", (x,))
-    if out.requires_grad:
-        def grad_fn(g):
-            x.accum_grad(np.broadcast_to(g / (h * w), x.data.shape))
-        out._backward = grad_fn
-    return out
+
+    def grad_fn(g):
+        x.accum_grad(np.broadcast_to(g / (h * w), x.data.shape))
+    return _make_out(x.data.mean(axis=(2, 3), keepdims=True), "global_avg_pool", (x,), grad_fn)
 
 
 def channel_pool(x: Tensor, mode: str) -> Tensor:
@@ -401,23 +387,20 @@ def channel_pool(x: Tensor, mode: str) -> Tensor:
     _require_rank(x, 4, "channel_pool input")
     if mode == "avg":
         c = x.data.shape[1]
-        out = _make_out(x.data.mean(axis=1, keepdims=True), "channel_pool_avg", (x,))
-        if out.requires_grad:
-            def grad_fn(g):
-                x.accum_grad(np.broadcast_to(g / c, x.data.shape))
-            out._backward = grad_fn
-        return out
+
+        def grad_fn(g):
+            x.accum_grad(np.broadcast_to(g / c, x.data.shape))
+        return _make_out(x.data.mean(axis=1, keepdims=True), "channel_pool_avg", (x,),
+                         grad_fn)
     if mode == "max":
         idx = x.data.argmax(axis=1, keepdims=True)  # first occurrence on ties
-        out_data = np.take_along_axis(x.data, idx, axis=1)
-        out = _make_out(out_data, "channel_pool_max", (x,))
-        if out.requires_grad:
-            def grad_fn(g):
-                gx = np.zeros_like(x.data)
-                np.put_along_axis(gx, idx, g, axis=1)
-                x.accum_grad(gx)
-            out._backward = grad_fn
-        return out
+
+        def grad_fn(g):
+            gx = np.zeros_like(x.data)
+            np.put_along_axis(gx, idx, g, axis=1)
+            x.accum_grad(gx)
+        return _make_out(np.take_along_axis(x.data, idx, axis=1), "channel_pool_max", (x,),
+                         grad_fn)
     raise ValueError(f"unknown channel_pool mode: {mode!r}")
 
 
@@ -442,15 +425,13 @@ def mul_broadcast(x: Tensor, a: Tensor) -> Tensor:
         or (ac, ah, aw) == (c, 1, 1)
     ):
         raise ValueError(f"mul_broadcast shapes incompatible: {x.data.shape} * {a.data.shape}")
-    out = _make_out(x.data * a.data, "mul_broadcast", (x, a))
-    if out.requires_grad:
-        def grad_fn(g):
-            if x.requires_grad:
-                x.accum_grad(g * a.data)
-            if a.requires_grad:
-                a.accum_grad(_sum_to_shape(g * x.data, a.data.shape))
-        out._backward = grad_fn
-    return out
+
+    def grad_fn(g):
+        if x.requires_grad:
+            x.accum_grad(g * a.data)
+        if a.requires_grad:
+            a.accum_grad(_sum_to_shape(g * x.data, a.data.shape))
+    return _make_out(x.data * a.data, "mul_broadcast", (x, a), grad_fn)
 
 
 def concat_channels(xs: list) -> Tensor:
@@ -465,15 +446,13 @@ def concat_channels(xs: list) -> Tensor:
         if x.data.shape[0] != n or x.data.shape[2] != h or x.data.shape[3] != w:
             raise ValueError(
                 f"concat_channels spatial mismatch: {xs[0].data.shape} vs {x.data.shape}")
-    out = _make_out(np.concatenate([x.data for x in xs], axis=1), "concat_channels", tuple(xs))
-    if out.requires_grad:
-        offsets = np.cumsum([0] + [x.data.shape[1] for x in xs])
 
-        def grad_fn(g):
-            for x, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
-                x.accum_grad(g[:, lo:hi])
-        out._backward = grad_fn
-    return out
+    def grad_fn(g):
+        offsets = np.cumsum([0] + [x.data.shape[1] for x in xs])
+        for x, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
+            x.accum_grad(g[:, lo:hi])
+    return _make_out(np.concatenate([x.data for x in xs], axis=1), "concat_channels",
+                     tuple(xs), grad_fn)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -492,18 +471,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"linear bias length {b.data.shape[0]} != Cout {cout}")
     x2 = x.data.reshape(n, c)
     out_data = (x2 @ w.data.T + b.data).reshape(n, cout, 1, 1)
-    out = _make_out(out_data, "linear", (x, w, b))
-    if out.requires_grad:
-        def grad_fn(g):
-            g2 = g.reshape(n, cout)
-            if w.requires_grad:
-                w.accum_grad(g2.T @ x2)
-            if b.requires_grad:
-                b.accum_grad(g2.sum(axis=0))
-            if x.requires_grad:
-                x.accum_grad((g2 @ w.data).reshape(n, c, 1, 1))
-        out._backward = grad_fn
-    return out
+
+    def grad_fn(g):
+        g2 = g.reshape(n, cout)
+        if w.requires_grad:
+            w.accum_grad(g2.T @ x2)
+        if b.requires_grad:
+            b.accum_grad(g2.sum(axis=0))
+        if x.requires_grad:
+            x.accum_grad((g2 @ w.data).reshape(n, c, 1, 1))
+    return _make_out(out_data, "linear", (x, w, b), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -526,18 +503,15 @@ def bce_loss(pred: Tensor, target: Tensor) -> Tensor:
     t = target.data
     count = p.size
     out_data = np.asarray(-(t * np.log(p) + (1.0 - t) * np.log(1.0 - p)).mean(), dtype=dt)
-    out = _make_out(out_data, "bce_loss", (pred, target))
-    if out.requires_grad:
-        inside = (pred.data > lo) & (pred.data < hi)
 
-        def grad_fn(g):
-            if pred.requires_grad:
-                gp = g * (p - t) / (p * (1.0 - p) * count)
-                pred.accum_grad(np.where(inside, gp, 0.0).astype(dt))
-            if target.requires_grad:
-                target.accum_grad((g * (np.log(1.0 - p) - np.log(p)) / count).astype(dt))
-        out._backward = grad_fn
-    return out
+    def grad_fn(g):
+        if pred.requires_grad:
+            inside = (pred.data > lo) & (pred.data < hi)
+            gp = g * (p - t) / (p * (1.0 - p) * count)
+            pred.accum_grad(np.where(inside, gp, 0.0).astype(dt))
+        if target.requires_grad:
+            target.accum_grad((g * (np.log(1.0 - p) - np.log(p)) / count).astype(dt))
+    return _make_out(out_data, "bce_loss", (pred, target), grad_fn)
 
 
 def add(x: Tensor, y: Tensor) -> Tensor:
@@ -545,33 +519,25 @@ def add(x: Tensor, y: Tensor) -> Tensor:
     if x.data.shape != y.data.shape:
         raise ValueError(f"add shape mismatch: {x.data.shape} vs {y.data.shape}")
     _check_dtypes(x, y)
-    out = _make_out(x.data + y.data, "add", (x, y))
-    if out.requires_grad:
-        def grad_fn(g):
-            x.accum_grad(g)
-            y.accum_grad(g)
-        out._backward = grad_fn
-    return out
+
+    def grad_fn(g):
+        x.accum_grad(g)
+        y.accum_grad(g)
+    return _make_out(x.data + y.data, "add", (x, y), grad_fn)
 
 
 def scale(x: Tensor, s: float) -> Tensor:
     """Multiply by a python constant (loss weighting)."""
-    out = _make_out(x.data * x.data.dtype.type(s), "scale", (x,))
-    if out.requires_grad:
-        def grad_fn(g):
-            x.accum_grad(g * x.data.dtype.type(s))
-        out._backward = grad_fn
-    return out
+    def grad_fn(g):
+        x.accum_grad(g * x.data.dtype.type(s))
+    return _make_out(x.data * x.data.dtype.type(s), "scale", (x,), grad_fn)
 
 
 def sum_all(x: Tensor) -> Tensor:
     """Reduce every element to a rank-0 scalar."""
-    out = _make_out(np.asarray(x.data.sum(), dtype=x.data.dtype), "sum_all", (x,))
-    if out.requires_grad:
-        def grad_fn(g):
-            x.accum_grad(np.broadcast_to(g, x.data.shape))
-        out._backward = grad_fn
-    return out
+    def grad_fn(g):
+        x.accum_grad(np.broadcast_to(g, x.data.shape))
+    return _make_out(np.asarray(x.data.sum(), dtype=x.data.dtype), "sum_all", (x,), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +551,8 @@ def grad_check(build_fn, leaves, eps: float = 1e-3, promote=()) -> float:
     The leaves (plus any `promote` extras that participate in the graph, e.g.
     fixed biases) are temporarily switched to float64 in place so the whole
     graph runs in double precision; every element of every leaf is then
-    perturbed by +/-eps and the loss re-evaluated. Original data, grad, and
+    perturbed by +/-eps and the loss re-evaluated with the leaves' grad flags
+    cleared, so those evaluations build no graph. Original data, grad, and
     requires_grad are restored on exit. The error metric is
     |analytic - numeric| / max(1, |numeric|), maximized over all elements.
     """
@@ -600,6 +567,8 @@ def grad_check(build_fn, leaves, eps: float = 1e-3, promote=()) -> float:
         loss = build_fn(*leaves)
         backward(loss)
         analytic = [t.grad_or_zeros().copy() for t in leaves]
+        for t in leaves:  # the perturbed evaluations below differentiate nothing
+            t.requires_grad = False
 
         worst = 0.0
         for leaf, ana in zip(leaves, analytic):

@@ -257,6 +257,13 @@ def open_checkpoint(path) -> tuple:
     return _restore(tio.load_entries(path))
 
 
+def _scalar_entry(entries: dict, name: str) -> int:
+    arr = entries[name]
+    if arr.shape != ():
+        raise ValueError(f"checkpoint entry {name!r} must be a scalar, got shape {arr.shape}")
+    return int(arr)
+
+
 def _restore(entries: dict, params: ModelParams = None) -> tuple:
     """Load checkpoint entries into params (built from the stored config when
     None); returns (params, info)."""
@@ -264,7 +271,7 @@ def _restore(entries: dict, params: ModelParams = None) -> tuple:
         raise ValueError("checkpoint missing entry 'meta.model_cfg'")
     stored_cfg = _tensor_text(entries["meta.model_cfg"])
     if params is None:
-        params = ModelParams(parse_model_config(stored_cfg), Prng(0))
+        params = ModelParams(parse_model_config(stored_cfg), None)
     expected = render_model_config(params.cfg)
     if stored_cfg != expected:
         raise ValueError("checkpoint model config does not match this model:\n"
@@ -279,14 +286,14 @@ def _restore(entries: dict, params: ModelParams = None) -> tuple:
                              f"model expects {t.data.shape}")
         t.data[...] = arr
     known = set(named)
-    step = int(entries["meta.step"]) if "meta.step" in entries else 0
+    step = _scalar_entry(entries, "meta.step") if "meta.step" in entries else 0
     train_cfg = None
     if "meta.train_cfg" in entries:
         train_cfg = parse_train_config(_tensor_text(entries["meta.train_cfg"]))
     state = None
     if "adam.t" in entries:
         state = AdamState(params.trainables())
-        state.t = int(entries["adam.t"])
+        state.t = _scalar_entry(entries, "adam.t")
         name_of = {id(t): name for name, t in named.items()}
         for i, p in enumerate(state.params):
             base = f"adam.{name_of[id(p)]}"

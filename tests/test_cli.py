@@ -147,6 +147,29 @@ class TestEval:
         assert lines[0] == "metric,value"
 
 
+    @pytest.mark.parametrize("command,thr", [("eval", "nan"), ("report", "7")])
+    def test_threshold_outside_unit_interval_is_runtime_error(self, workdir, tmp_path, capsys,
+                                                              command, thr):
+        argv = [command, "--ckpt", str(workdir["ckpt"]), "--data", str(workdir["data"]),
+                "--thr", thr]
+        if command == "report":
+            argv += ["--out-dir", str(tmp_path / "rep")]
+        code = main(argv)
+        assert code == 1
+        assert "error: thr must be in [0,1]" in capsys.readouterr().err
+
+    def test_malformed_checkpoint_is_runtime_error(self, workdir, tmp_path, capsys):
+        entries = tio.load_entries(workdir["ckpt"])
+        entries["meta.step"] = np.ones(2, dtype=np.float32)
+        bad = tmp_path / "bad.ckpt"
+        tio.save_entries(bad, entries)
+        code = main(["eval", "--ckpt", str(bad), "--data", str(workdir["data"])])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'meta.step'" in err
+        assert "Traceback" not in err
+
+
 class TestRoc:
     def test_csv_and_svg(self, workdir, tmp_path, capsys):
         csv = tmp_path / "roc.csv"

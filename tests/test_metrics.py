@@ -336,6 +336,17 @@ class TestReport:
         np.testing.assert_allclose(report.niou,
                                    float(np.mean(report.per_sample_iou)))
 
+    @pytest.mark.parametrize("thr", [float("nan"), float("inf"), -0.1, 1.5, 7.0])
+    def test_threshold_outside_unit_interval_rejected(self, thr):
+        scores, gt = random_scores(95)
+        with pytest.raises(ValueError, match="thr must be in"):
+            compute_report([scores], [gt], thr=thr)
+
+    @pytest.mark.parametrize("thr", [0.0, 1.0])
+    def test_threshold_endpoints_accepted(self, thr):
+        scores, gt = random_scores(96)
+        assert compute_report([scores], [gt], thr=thr).n_samples == 1
+
     def test_roc_attached_when_requested(self):
         scores, gt = random_scores(91)
         report = compute_report([scores], [gt], n_thresholds=9)

@@ -243,6 +243,23 @@ class TestInfer:
         np.testing.assert_array_equal(p1, p2)
         assert np.all(p1 >= 0.0) and np.all(p1 <= 1.0)
 
+    def test_builds_no_graph(self):
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(11))
+        prob = infer(params, image(12))
+        assert prob._parents == () and prob._backward is None
+        assert not prob.requires_grad
+
+    def test_parameter_grad_flags_survive_the_call(self):
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(11))
+        params.fuse.b.requires_grad = False  # a frozen parameter stays frozen
+        before = {k: t.requires_grad for k, t in params.named().items()}
+        infer(params, image(12))
+        assert {k: t.requires_grad for k, t in params.named().items()} == before
+        with pytest.raises(ValueError, match="not divisible"):
+            infer(params, Tensor(np.zeros((1, 3, 30, 30), dtype=np.float32)))
+        assert {k: t.requires_grad for k, t in params.named().items()} == before
+        assert params.fuse.w.requires_grad and not params.fuse.b.requires_grad
+
     def test_eval_mode_leaves_running_stats_alone(self):
         params = ModelParams(ModelConfig(preset="tiny"), Prng(13))
         key = "en1.cin.bn.rm"

@@ -36,6 +36,56 @@ def weighted_sum(out, prng):
     return sum_all(mul_broadcast(out, w))
 
 
+def _op_cases():
+    """op name -> (call over the input tensors, input arrays), every op once."""
+    p = Prng(21)
+
+    def r(*shape):
+        return p.normal(shape)
+
+    def u(*shape):
+        return p.uniform_array(math.prod(shape)).reshape(shape) * 0.8 + 0.1
+
+    rm, rv = Tensor(np.zeros(2, np.float32)), Tensor(np.ones(2, np.float32))
+    return {
+        "conv2d": (lambda x, w, b: conv2d(x, w, b, pad=1), [r(1, 2, 4, 4), r(3, 2, 3, 3), r(3)]),
+        "max_pool2d": (max_pool2d, [r(1, 2, 4, 4)]),
+        "upsample_bilinear": (lambda x: upsample_bilinear(x, 6, 6), [r(1, 2, 3, 3)]),
+        "batch_norm": (lambda x, g, b: batch_norm(x, g, b, rm, rv),
+                       [r(2, 2, 3, 3), r(2), r(2)]),
+        "relu": (relu, [r(1, 2, 3, 3)]),
+        "sigmoid": (sigmoid, [r(1, 2, 3, 3)]),
+        "global_avg_pool": (global_avg_pool, [r(1, 2, 3, 3)]),
+        "channel_pool_avg": (lambda x: channel_pool(x, "avg"), [r(1, 3, 3, 3)]),
+        "channel_pool_max": (lambda x: channel_pool(x, "max"), [r(1, 3, 3, 3)]),
+        "mul_broadcast": (mul_broadcast, [r(1, 2, 3, 3), r(1, 2, 1, 1)]),
+        "concat_channels": (lambda *xs: concat_channels(list(xs)), [r(1, 1, 3, 3), r(1, 2, 3, 3)]),
+        "linear": (linear, [r(2, 4, 1, 1), r(3, 4), r(3)]),
+        "bce_loss": (bce_loss, [u(1, 1, 3, 3), u(1, 1, 3, 3)]),
+        "add": (add, [r(1, 2, 3, 3), r(1, 2, 3, 3)]),
+        "scale": (lambda x: scale(x, 2.0), [r(1, 2, 3, 3)]),
+        "sum_all": (sum_all, [r(1, 2, 3, 3)]),
+    }
+
+
+OP_CASES = _op_cases()
+
+
+class TestGraphMembership:
+    @pytest.mark.parametrize("name", sorted(OP_CASES))
+    def test_only_an_input_that_requires_grad_joins_the_graph(self, name):
+        fn, arrays = OP_CASES[name]
+        const = fn(*[Tensor(a) for a in arrays])
+        assert not const.requires_grad
+        assert const._parents == () and const._backward is None
+        for i in range(len(arrays)):
+            inputs = [Tensor(a, requires_grad=(j == i)) for j, a in enumerate(arrays)]
+            out = fn(*inputs)
+            assert out.requires_grad, f"input {i}"
+            assert out._parents == tuple(inputs), f"input {i}"
+            assert out._backward is not None, f"input {i}"
+
+
 class TestTensorBasics:
     def test_scalar_rank0_loss_required(self):
         x = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32), requires_grad=True)
@@ -83,8 +133,9 @@ class TestTensorBasics:
         x = Tensor(np.ones((1, 1, 4, 4), dtype=np.float32))
         with Tape() as tape:
             y = max_pool2d(x)
-            relu(y)
+            z = relu(y)
         assert tape.names() == ["max_pool2d", "relu"]
+        assert tape.ops[1].inputs == (y,) and tape.ops[1].output is z
 
 
 class TestConv2d:
@@ -562,3 +613,21 @@ class TestGradCheckHarness:
             return out
 
         assert grad_check(broken, [x]) > 0.1
+
+    def test_builds_one_graph_and_restores_the_flags(self):
+        """Only the analytic pass builds a graph; every perturbed evaluation
+        runs on constants."""
+        prng = Prng(123)
+        x, w, b = rand(prng, 1, 2, 4, 4), rand(prng, 3, 2, 3, 3), rand(prng, 3)
+        b.requires_grad = False
+        graphs = []
+
+        def build(x_, w_, b_):
+            out = sum_all(relu(conv2d(x_, w_, b_, pad=1)))
+            graphs.append(out._backward is not None)
+            return out
+
+        grad_check(build, [x, w, b])
+        assert graphs.count(True) == 1 and graphs[0]
+        assert len(graphs) == 1 + 2 * (x.data.size + w.data.size + b.data.size)
+        assert (x.requires_grad, w.requires_grad, b.requires_grad) == (True, True, False)

@@ -375,6 +375,32 @@ class TestCheckpoint:
         assert info["state"].t == 1
         np.testing.assert_array_equal(info["state"].m[0], state.m[0])
 
+    def test_open_checkpoint_draws_no_init(self, tmp_path, monkeypatch):
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(26))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params)
+
+        def no_draws(self, shape, std=1.0):
+            raise AssertionError(f"Prng.normal called for shape {shape}")
+
+        monkeypatch.setattr(Prng, "normal", no_draws)
+        restored, _ = open_checkpoint(path)
+        for key, t in params.named().items():
+            np.testing.assert_array_equal(restored.named()[key].data, t.data, err_msg=key)
+            assert restored.named()[key].requires_grad == t.requires_grad, key
+
+    @pytest.mark.parametrize("key", ["meta.step", "adam.t"])
+    def test_non_scalar_counter_is_named(self, tmp_path, key):
+        params, dataset, cfg = tiny_setup(seed=27, epochs=1, batch_size=2)
+        state = train_loop(params, dataset, cfg, max_steps=1)["state"]
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, state=state, step=1, train_cfg=cfg)
+        entries = tio.load_entries(path)
+        entries[key] = np.ones(2, dtype=np.float32)
+        tio.save_entries(path, entries)
+        with pytest.raises(ValueError, match=f"'{key}' must be a scalar"):
+            open_checkpoint(path)
+
 
 class TestEvaluationHarness:
     def test_evaluate_dataset_shapes_and_ranges(self):
