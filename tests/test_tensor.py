@@ -159,6 +159,23 @@ class TestConv2d:
             want = conv2d_loops(x, w, b, stride=stride, pad=pad, dilation=dil)
             np.testing.assert_allclose(got, want, rtol=2e-5, atol=2e-5)
 
+    def test_im2col_blocks_leave_every_bit(self, monkeypatch):
+        """An im2col larger than one cache block is filled a few output rows
+        at a time, the last block short; output and all three gradients are
+        bit for bit those of a single block."""
+        prng = Prng(22)
+        for stride, pad, dil in ((1, 1, 1), (2, 1, 1), (1, 2, 2)):
+            x, w, b = prng.normal((2, 3, 9, 9)), prng.normal((4, 3, 3, 3)), prng.normal((4,))
+            runs = []
+            for block in (1 << 30, 2000):  # 2000 B holds 2 or 3 rows of taps
+                monkeypatch.setattr("nuseg.tensor._IM2COL_BLOCK", block)
+                ts = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+                out = conv2d(*ts, stride=stride, pad=pad, dilation=dil)
+                backward(weighted_sum(out, Prng(3)))
+                runs.append([out.data] + [t.grad for t in ts])
+            for one, blocked in zip(*runs):
+                np.testing.assert_array_equal(one, blocked)
+
     def test_pad_equals_dilation_preserves_size(self):
         """3x3 kernels at stride 1 keep H,W whenever pad == dilation."""
         prng = Prng(2)
