@@ -5,8 +5,6 @@ std = sqrt(2 / fan_in), zero biases, BN gamma 1 and beta 0. All randomness
 is drawn from an explicit Prng so construction order fixes the weights.
 """
 
-import math
-
 import numpy as np
 
 from .prng import Prng
@@ -20,7 +18,7 @@ def _he_normal(prng: Prng | None, shape: tuple) -> Tensor:
     prng it draws nothing and returns zeros."""
     if prng is None:
         return zeros_param(shape)
-    std = float(np.sqrt(2.0 / math.prod(shape[1:])))
+    std = float(np.sqrt(2.0 / np.prod(shape[1:])))
     return Tensor(prng.normal(shape, std=std), requires_grad=True)
 
 

@@ -211,12 +211,16 @@ def connected_components(mask) -> tuple:
     return len(objects), objects
 
 
+def _check_thr(thr: float, name: str = "thr") -> None:
+    if not 0.0 <= thr <= 1.0:  # also rejects nan
+        raise ValueError(f"{name} must be in [0,1], got {thr}")
+
+
 def compute_report(scores, gts, thr: float = 0.5, n_thresholds: int = 0,
                    fpr_mode: str = "standard") -> MetricsReport:
     """Evaluate score maps against masks at a fixed threshold, optionally
     attaching a ROC curve when n_thresholds > 0."""
-    if not 0.0 <= thr <= 1.0:  # also rejects nan
-        raise ValueError(f"thr must be in [0,1], got {thr}")
+    _check_thr(thr)
     _check_pairs(scores, gts)
     preds = [binarize(s, thr) for s in scores]
     per_sample = [per_sample_iou(p, g) for p, g in zip(preds, gts)]

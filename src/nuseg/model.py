@@ -326,8 +326,7 @@ def infer(params: ModelParams, image: Tensor) -> Tensor:
     try:
         for t, _ in saved:
             t.requires_grad = False
-        out = forward(params, image, training=False)
-        return activation(out.fused, "sigmoid")
+        return activation(forward(params, image, training=False).fused, "sigmoid")
     finally:
         for t, flag in saved:
             t.requires_grad = flag

@@ -175,11 +175,6 @@ def zero_grads(tensors) -> None:
 # convolution / pooling / resampling
 
 
-# im2col fills its output per image in blocks of rows of about this many
-# bytes, small enough to stay in a core's L2 cache while all taps write them
-_IM2COL_BLOCK = 1 << 19
-
-
 def _conv_out_size(n: int, k: int, stride: int, pad: int, dilation: int) -> int:
     span = n + 2 * pad - dilation * (k - 1) - 1
     if span < 0 or span % stride != 0:
@@ -210,35 +205,26 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0,
 
     # zero-padded and channels-last: a row of any kernel tap's window is then
     # one run of Wo*Cin values (at stride 1), for im2col and for its adjoint.
-    # A 1x1 kernel's im2col is a view of this array, and BLAS rounds by the
-    # operand's memory layout, so a padded 1x1 input stays channel-major.
     xq = x.data.transpose(0, 2, 3, 1)
     if pad:
-        hp, wp = h + 2 * pad, wd + 2 * pad
-        if kh == kw == 1:
-            xp = np.zeros((n, cin, hp, wp), dtype=xq.dtype).transpose(0, 2, 3, 1)
-        else:
-            xp = np.zeros((n, hp, wp, cin), dtype=xq.dtype)
+        xp = np.zeros((n, h + 2 * pad, wd + 2 * pad, cin), dtype=xq.dtype)
         xp[:, pad: pad + h, pad: pad + wd] = xq
         xq = xp
 
-    taps = [(i, j) for i in range(kh) for j in range(kw)]
-
-    def tap(a, i, j, y0=0, y1=ho):
-        # output rows y0..y1 of the [..., Ho, Wo, C] positions tap (i, j) reads
-        r, c = i * dilation + y0 * stride, j * dilation
-        return a[..., r: r + (y1 - y0) * stride: stride, c: c + wo * stride: stride, :]
+    def tap(a, i, j):
+        # the [N, Ho, Wo, C] positions kernel tap (i, j) reads
+        r, c = i * dilation, j * dilation
+        return a[:, r: r + ho * stride: stride, c: c + wo * stride: stride]
 
     def im2col():
-        # rows [N*Ho*Wo], columns in kernel order [Cin*kh*kw]
+        # rows [N*Ho*Wo], columns in kernel order [Cin*kh*kw]. A 1x1 kernel's
+        # is xq reshaped; for an unpadded input that view keeps the memory
+        # layout, and with it the BLAS rounding, np.tensordot gave the GEMM.
         if kh == kw == 1:
             return tap(xq, 0, 0).reshape(n * ho * wo, cin)
         cols = np.empty((n, ho, wo, cin, kh, kw), dtype=xq.dtype)
-        step = max(1, _IM2COL_BLOCK // cols[0, 0].nbytes)  # output rows per block
-        for m in range(n):
-            for y in range(0, ho, step):
-                for i, j in taps:
-                    cols[m, y: y + step, ..., i, j] = tap(xq[m], i, j, y, min(ho, y + step))
+        for i, j in np.ndindex(kh, kw):
+            cols[..., i, j] = tap(xq, i, j)
         return cols.reshape(n * ho * wo, cin * kh * kw)
 
     out_data = np.dot(im2col(), w.data.transpose(1, 2, 3, 0).reshape(cin * kh * kw, cout))
@@ -254,7 +240,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0,
         if x.requires_grad:
             gt = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
             gxq = np.zeros(xq.shape, dtype=xq.dtype)
-            for i, j in taps:
+            for i, j in np.ndindex(kh, kw):
                 contrib = np.dot(gt, w.data[:, :, i, j].reshape(cout, cin))
                 tap(gxq, i, j)[...] += contrib.reshape(n, ho, wo, cin)
             x.accum_grad(gxq[:, pad: pad + h, pad: pad + wd].transpose(0, 3, 1, 2))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io as tio
-from .metrics import binarize, compute_report, iou_dataset
+from .metrics import _check_thr, binarize, compute_report, iou_dataset
 from .model import (ModelConfig, ModelParams, _config_lines, _parse_float, _parse_int,
                     forward, infer, parse_model_config, render_model_config)
 from .prng import Prng
@@ -50,8 +50,7 @@ class TrainConfig:
             b = getattr(self, name)
             if not 0.0 <= b < 1.0:
                 raise ValueError(f"{name} must be in [0,1), got {b}")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold must be in [0,1], got {self.threshold}")
+        _check_thr(self.threshold, "threshold")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -327,6 +326,7 @@ def evaluate_dataset(params: ModelParams, dataset: list, thr: float = 0.5,
     """
     if not dataset:
         raise ValueError("evaluation dataset is empty")
+    _check_thr(thr)  # before the inference, which is the costly part
     scores = [infer(params, s.image).data[0, 0] for s in dataset]
     gts = [s.mask.data[0, 0] for s in dataset]
     report = compute_report(scores, gts, thr=thr, n_thresholds=n_thresholds,

@@ -146,10 +146,13 @@ class TestEval:
         lines = report.read_text().splitlines()
         assert lines[0] == "metric,value"
 
-
     @pytest.mark.parametrize("command,thr", [("eval", "nan"), ("report", "7")])
     def test_threshold_outside_unit_interval_is_runtime_error(self, workdir, tmp_path, capsys,
-                                                              command, thr):
+                                                              monkeypatch, command, thr):
+        """The threshold is rejected before any image is inferred."""
+        def no_infer(*_):
+            raise AssertionError("infer ran before the threshold was checked")
+        monkeypatch.setattr("nuseg.train.infer", no_infer)
         argv = [command, "--ckpt", str(workdir["ckpt"]), "--data", str(workdir["data"]),
                 "--thr", thr]
         if command == "report":

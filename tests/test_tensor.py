@@ -150,31 +150,15 @@ class TestConv2d:
 
     def test_matches_loop_oracle(self):
         prng = Prng(21)
-        for stride, pad, dil in ((1, 1, 1), (1, 2, 2), (2, 1, 1), (1, 3, 3)):
-            x = prng.normal((2, 3, 9, 9))
-            w = prng.normal((4, 3, 3, 3))
-            b = prng.normal((4,))
-            got = conv2d(Tensor(x), Tensor(w), Tensor(b),
-                         stride=stride, pad=pad, dilation=dil).data
-            want = conv2d_loops(x, w, b, stride=stride, pad=pad, dilation=dil)
-            np.testing.assert_allclose(got, want, rtol=2e-5, atol=2e-5)
-
-    def test_im2col_blocks_leave_every_bit(self, monkeypatch):
-        """An im2col larger than one cache block is filled a few output rows
-        at a time, the last block short; output and all three gradients are
-        bit for bit those of a single block."""
-        prng = Prng(22)
-        for stride, pad, dil in ((1, 1, 1), (2, 1, 1), (1, 2, 2)):
-            x, w, b = prng.normal((2, 3, 9, 9)), prng.normal((4, 3, 3, 3)), prng.normal((4,))
-            runs = []
-            for block in (1 << 30, 2000):  # 2000 B holds 2 or 3 rows of taps
-                monkeypatch.setattr("nuseg.tensor._IM2COL_BLOCK", block)
-                ts = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
-                out = conv2d(*ts, stride=stride, pad=pad, dilation=dil)
-                backward(weighted_sum(out, Prng(3)))
-                runs.append([out.data] + [t.grad for t in ts])
-            for one, blocked in zip(*runs):
-                np.testing.assert_array_equal(one, blocked)
+        for k in (3, 1):
+            for stride, pad, dil in ((1, 1, 1), (1, 2, 2), (2, 1, 1), (1, 3, 3), (1, 0, 1)):
+                x = prng.normal((2, 3, 9, 9))
+                w = prng.normal((4, 3, k, k))
+                b = prng.normal((4,))
+                got = conv2d(Tensor(x), Tensor(w), Tensor(b),
+                             stride=stride, pad=pad, dilation=dil).data
+                want = conv2d_loops(x, w, b, stride=stride, pad=pad, dilation=dil)
+                np.testing.assert_allclose(got, want, rtol=2e-5, atol=2e-5)
 
     def test_pad_equals_dilation_preserves_size(self):
         """3x3 kernels at stride 1 keep H,W whenever pad == dilation."""
@@ -216,10 +200,11 @@ class TestConv2d:
 
     def test_grad_strided_dilated(self):
         prng = Prng(32)
-        x, w, b = rand(prng, 2, 2, 7, 7), rand(prng, 2, 2, 3, 3), rand(prng, 2)
-        err = grad_check(lambda x_, w_, b_: weighted_sum(
-            conv2d(x_, w_, b_, stride=2, pad=2, dilation=2), Prng(2)), [x, w, b])
-        assert err < 1e-3
+        for k in (3, 1):
+            x, w, b = rand(prng, 2, 2, 7, 7), rand(prng, 2, 2, k, k), rand(prng, 2)
+            err = grad_check(lambda x_, w_, b_: weighted_sum(
+                conv2d(x_, w_, b_, stride=2, pad=2, dilation=2), Prng(2)), [x, w, b])
+            assert err < 1e-3
 
 
 class TestMaxPool:
