@@ -186,6 +186,11 @@ class DatasetTemplate:
                              f"[{self.min_targets}, {self.max_targets}]")
         if 6.0 * self.sigma_range[1] >= 30.0:
             raise ValueError("sigma_range upper end breaks the 30x30 footprint cap")
+        # the widest target's 6-sigma box, centre pixel included, must fit
+        least = math.ceil(6.0 * self.sigma_range[1] + 1.0) if self.max_targets >= 1 else 1
+        if min(self.width, self.height) < least:
+            raise ValueError(f"image size {self.width}x{self.height} is below the minimum "
+                             f"of {least} px for these targets")
         for kind in self.backgrounds:
             if kind not in BACKGROUND_KINDS:
                 raise ValueError(f"unknown background kind {kind!r}")

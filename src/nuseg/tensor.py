@@ -16,7 +16,7 @@ in float32.
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 __all__ = [
     "Tensor", "Tape", "backward", "zero_grads",
@@ -185,6 +185,19 @@ def _conv_out_size(n: int, k: int, stride: int, pad: int, dilation: int) -> int:
     return span // stride + 1
 
 
+def _windows(flat: np.ndarray, kh: int, kw: int, dilation: int, row: int,
+             span: int) -> np.ndarray:
+    """[N, C, L] -> [N, C*kh*kw, span]: for dense position q, kernel tap (i, j)
+    reads flat[..., q + (i*row + j)*dilation], so every tap is a contiguous
+    slice and the window a strided view; its reshape is the one copy (none
+    for a 1x1 kernel). L must be at least span + ((kh-1)*row + kw-1)*dilation."""
+    n, c, _ = flat.shape
+    sn, sc, s = flat.strides
+    win = as_strided(flat, (n, c, kh, kw, span), (sn, sc, dilation * row * s, dilation * s, s),
+                     writeable=False)
+    return win.reshape(n, c * kh * kw, span)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0,
            dilation: int = 1) -> Tensor:
     """Cross-correlation with zero padding: [N,Cin,H,W] -> [N,Cout,H',W']."""
@@ -200,50 +213,48 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0,
         raise ValueError(f"conv2d channel mismatch: input has {cin}, kernel expects {wcin}")
     if b.data.shape[0] != cout:
         raise ValueError(f"conv2d bias length {b.data.shape[0]} != Cout {cout}")
-    ho = _conv_out_size(h, kh, stride, pad, dilation)
-    wo = _conv_out_size(wd, kw, stride, pad, dilation)
+    _conv_out_size(h, kh, stride, pad, dilation)
+    _conv_out_size(wd, kw, stride, pad, dilation)
 
-    # zero-padded and channels-last: a row of any kernel tap's window is then
-    # one run of Wo*Cin values (at stride 1), for im2col and for its adjoint.
-    xq = x.data.transpose(0, 2, 3, 1)
-    if pad:
-        xp = np.zeros((n, h + 2 * pad, wd + 2 * pad, cin), dtype=xq.dtype)
-        xp[:, pad: pad + h, pad: pad + wd] = xq
-        xq = xp
+    # One code path for every kernel size, stride, pad and dilation. Each image
+    # is zero-padded to hp x wp and flattened per channel. The dense (stride-1)
+    # output is computed at hd rows of wp positions: the last wp - wdense of
+    # each row wrap into the next padded row and are cropped, and stride > 1
+    # subsamples the dense result. The dilation*(kw-1) zeros past the image
+    # keep the last row's wrapped taps inside the buffer.
+    hp, wp = h + 2 * pad, wd + 2 * pad
+    hd, wdense = hp - dilation * (kh - 1), wp - dilation * (kw - 1)
+    span = hd * wp
+    maxoff = ((kh - 1) * wp + kw - 1) * dilation
 
-    def tap(a, i, j):
-        # the [N, Ho, Wo, C] positions kernel tap (i, j) reads
-        r, c = i * dilation, j * dilation
-        return a[:, r: r + ho * stride: stride, c: c + wo * stride: stride]
+    def padded():
+        # rebuilt for dW, as is its kh*kw times larger window: the graph keeps neither
+        flat = np.zeros((n, cin, hp * wp + dilation * (kw - 1)), dtype=x.data.dtype)
+        flat[..., : hp * wp].reshape(n, cin, hp, wp)[..., pad: pad + h, pad: pad + wd] = x.data
+        return flat
 
-    def im2col():
-        # rows [N*Ho*Wo], columns in kernel order [Cin*kh*kw]. A 1x1 kernel's
-        # is xq reshaped; for an unpadded input that view keeps the memory
-        # layout, and with it the BLAS rounding, np.tensordot gave the GEMM.
-        if kh == kw == 1:
-            return tap(xq, 0, 0).reshape(n * ho * wo, cin)
-        cols = np.empty((n, ho, wo, cin, kh, kw), dtype=xq.dtype)
-        for i, j in np.ndindex(kh, kw):
-            cols[..., i, j] = tap(xq, i, j)
-        return cols.reshape(n * ho * wo, cin * kh * kw)
-
-    out_data = np.dot(im2col(), w.data.transpose(1, 2, 3, 0).reshape(cin * kh * kw, cout))
-    out_data = out_data.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2) + b.data[None, :, None, None]
+    wmat = w.data.reshape(cout, cin * kh * kw)
+    dense = np.matmul(wmat, _windows(padded(), kh, kw, dilation, wp, span))
+    # a C-contiguous [N, Cout, H', W'] result, so the ops after it run unstrided
+    out_data = (dense.reshape(n, cout, hd, wp)[..., ::stride, :wdense:stride]
+                + b.data[None, :, None, None])
 
     def grad_fn(g):
-        # im2col is kh*kw times the input, so it is rebuilt here, not kept
+        # g scattered onto the dense positions, behind a maxoff zero margin:
+        # dX is then the same tap GEMM with the kernel flipped and transposed
+        gpad = np.zeros((n, cout, maxoff + hp * wp), dtype=g.dtype)
+        gdense = gpad[..., maxoff: maxoff + span]
+        gdense.reshape(n, cout, hd, wp)[..., ::stride, :wdense:stride] = g
         if w.requires_grad:
-            gw = np.dot(g.transpose(1, 0, 2, 3).reshape(cout, n * ho * wo), im2col())
-            w.accum_grad(gw.reshape(cout, cin, kh, kw))
+            gw = np.matmul(gdense,
+                           _windows(padded(), kh, kw, dilation, wp, span).transpose(0, 2, 1))
+            w.accum_grad(gw.sum(axis=0).reshape(cout, cin, kh, kw))
         if b.requires_grad:
             b.accum_grad(g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            gt = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
-            gxq = np.zeros(xq.shape, dtype=xq.dtype)
-            for i, j in np.ndindex(kh, kw):
-                contrib = np.dot(gt, w.data[:, :, i, j].reshape(cout, cin))
-                tap(gxq, i, j)[...] += contrib.reshape(n, ho, wo, cin)
-            x.accum_grad(gxq[:, pad: pad + h, pad: pad + wd].transpose(0, 3, 1, 2))
+            wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * kh * kw)
+            gx = np.matmul(wflip, _windows(gpad[..., pad * wp:], kh, kw, dilation, wp, h * wp))
+            x.accum_grad(gx.reshape(n, cin, h, wp)[..., pad: pad + wd])
     return _make_out(out_data, "conv2d", (x, w, b), grad_fn)
 
 

@@ -44,6 +44,13 @@ class TestGenData:
         for name in sorted(p.name for p in dirs[0].iterdir()):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
+    @pytest.mark.parametrize("size", ["0", "7"])
+    def test_size_too_small_creates_nothing(self, tmp_path, capsys, size):
+        out = tmp_path / "d"
+        assert main(["gen-data", "--out", str(out), "--n", "2", "--size", size]) == 1
+        assert "below the minimum of 21 px" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_summary_lines(self, tmp_path, capsys):
         main(["gen-data", "--out", str(tmp_path / "d"), "--n", "2", "--size", "32"])
         out = capsys.readouterr().out

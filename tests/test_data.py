@@ -78,6 +78,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="footprint cap"):
             DatasetTemplate(sigma_range=(1.0, 5.0))
 
+    def test_template_too_small_for_its_targets(self):
+        """The default sigma_range ends at 3.2: a 6-sigma box plus its centre
+        pixel needs 20.2 px, so 21 px is the smallest size accepted."""
+        for size in (0, 7, 20):
+            with pytest.raises(ValueError, match=f"{size}x{size} is below the minimum of 21 px"):
+                DatasetTemplate(width=size, height=size)
+        with pytest.raises(ValueError, match="64x20 is below the minimum of 21 px"):
+            DatasetTemplate(width=64, height=20)
+        DatasetTemplate(width=21, height=21)
+        DatasetTemplate(width=8, height=8, sigma_range=(1.0, 1.1))
+        DatasetTemplate(width=7, height=7, min_targets=0, max_targets=0)
+
     def test_template_background_kinds(self):
         with pytest.raises(ValueError, match="unknown background"):
             DatasetTemplate(backgrounds=("flat", "perlin"))

@@ -160,6 +160,35 @@ class TestConv2d:
                 want = conv2d_loops(x, w, b, stride=stride, pad=pad, dilation=dil)
                 np.testing.assert_allclose(got, want, rtol=2e-5, atol=2e-5)
 
+    @pytest.mark.parametrize("case", [
+        # (x shape, k, stride, pad, dilation, dtype, transposed input)
+        ((1, 2, 9, 13), 3, 2, 0, 2, np.float32, False),
+        ((3, 2, 6, 5), 3, 1, 1, 1, np.float32, False),
+        ((2, 3, 7, 6), 3, 1, 2, 2, np.float64, False),
+        ((2, 2, 8, 5), 3, 1, 1, 1, np.float32, True),
+        ((2, 3, 5, 4), 1, 1, 1, 1, np.float32, False),
+    ], ids=["nonsquare_pad0_dil2_stride2", "batch3", "float64", "transposed_view",
+            "1x1_pad1"])
+    def test_matches_loop_oracle_layouts(self, case):
+        shape, k, stride, pad, dil, dtype, transposed = case
+        prng = Prng(22)
+        x = prng.normal(shape).astype(dtype)
+        if transposed:
+            x = np.ascontiguousarray(x.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+            assert not x.flags.c_contiguous
+        w = prng.normal((4, shape[1], k, k)).astype(dtype)
+        b = prng.normal((4,)).astype(dtype)
+        got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad, dilation=dil).data
+        want = conv2d_loops(x, w, b, stride=stride, pad=pad, dilation=dil)
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, want, rtol=2e-5, atol=2e-5)
+
+    def test_output_is_c_contiguous(self):
+        prng = Prng(23)
+        for k, pad in ((3, 1), (1, 0)):
+            x, w, b = rand(prng, 2, 3, 6, 7), rand(prng, 4, 3, k, k), rand(prng, 4)
+            assert conv2d(x, w, b, pad=pad).data.flags.c_contiguous
+
     def test_pad_equals_dilation_preserves_size(self):
         """3x3 kernels at stride 1 keep H,W whenever pad == dilation."""
         prng = Prng(2)
@@ -205,6 +234,13 @@ class TestConv2d:
             err = grad_check(lambda x_, w_, b_: weighted_sum(
                 conv2d(x_, w_, b_, stride=2, pad=2, dilation=2), Prng(2)), [x, w, b])
             assert err < 1e-3
+
+    def test_grad_nonsquare_unpadded_dilated(self):
+        prng = Prng(33)
+        x, w, b = rand(prng, 2, 2, 7, 9), rand(prng, 3, 2, 3, 3), rand(prng, 3)
+        err = grad_check(lambda x_, w_, b_: weighted_sum(
+            conv2d(x_, w_, b_, pad=0, dilation=2), Prng(4)), [x, w, b])
+        assert err < 1e-3
 
 
 class TestMaxPool:
