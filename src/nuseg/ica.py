@@ -28,9 +28,11 @@ GATE_KINDS = ("sigmoid", "relu")
 class IcaParams:
     """Parameters for one attention module over C-channel features.
 
-    The excitation pair maps C -> C/r -> C with BN after each matrix; the
-    1x1 reduction conv carries BN instead of a bias; the 3x3 fusion conv
-    maps the 2-channel pooled stack to a single-plane gate.
+    The excitation pair maps C -> C/r -> C with BN after each matrix, so
+    neither matrix has a bias. The 1x1 reduction conv is followed by BN too;
+    its bias `c1_bias` is a fixed zero, neither trained nor checkpointed.
+    The 3x3 fusion conv, with a trained bias, maps the 2-channel pooled
+    stack to a single-plane gate.
     """
 
     def __init__(self, prng: Prng, channels: int, reduction: int = 4):
@@ -40,10 +42,8 @@ class IcaParams:
         self.reduction = reduction
         squeezed = channels // reduction
         self.w1 = _he_normal(prng, (squeezed, channels))
-        self.b1 = zeros_param(squeezed)
         self.bn1 = BnParams(squeezed)
         self.w2 = _he_normal(prng, (channels, squeezed))
-        self.b2 = zeros_param(channels)
         self.bn2 = BnParams(channels)
         self.c1_w = _he_normal(prng, (squeezed, channels, 1, 1))
         self.c1_bias = Tensor(np.zeros(squeezed, dtype=np.float32))  # fixed 0, BN follows
@@ -52,8 +52,7 @@ class IcaParams:
         self.c3_b = zeros_param(1)
 
     def named(self, prefix: str) -> dict:
-        out = {f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,
-               f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2,
+        out = {f"{prefix}.w1": self.w1, f"{prefix}.w2": self.w2,
                f"{prefix}.c1.w": self.c1_w,
                f"{prefix}.c3.w": self.c3_w, f"{prefix}.c3.b": self.c3_b}
         out.update(self.bn1.named(f"{prefix}.bn1"))
@@ -62,7 +61,7 @@ class IcaParams:
         return out
 
     def trainables(self) -> list:
-        return ([self.w1, self.b1, self.w2, self.b2, self.c1_w, self.c3_w, self.c3_b]
+        return ([self.w1, self.w2, self.c1_w, self.c3_w, self.c3_b]
                 + self.bn1.trainables() + self.bn2.trainables() + self.c1_bn.trainables())
 
 
@@ -84,8 +83,8 @@ def _check_pair(f_h: Tensor, f_l: Tensor, params: IcaParams) -> None:
 def channel_gate(f_h: Tensor, params: IcaParams, training: bool) -> Tensor:
     """Squeeze-excite gate from high-level features: [N,C,H,W] -> [N,C,1,1]."""
     z = global_avg_pool(f_h)
-    t = activation(params.bn1.apply(linear(z, params.w1, params.b1), training), "relu")
-    s = params.bn2.apply(linear(t, params.w2, params.b2), training)
+    t = activation(params.bn1.apply(linear(z, params.w1, None), training), "relu")
+    s = params.bn2.apply(linear(t, params.w2, None), training)
     return activation(s, "sigmoid")
 
 

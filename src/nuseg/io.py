@@ -17,9 +17,12 @@ UIUC wraps many named UIUT blobs:
     per entry: u16 name byte length, UTF-8 name, UIUT blob
 
 Entries are written in the order given and returned in file order, so writing
-the same mapping twice produces byte-identical files.
+the same mapping twice produces byte-identical files. A container is written
+under a temporary name in the target's directory and then renamed over it, so
+a write that fails or is killed never leaves a partial file at the target.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -84,19 +87,23 @@ def load_tensor(path) -> np.ndarray:
 
 
 def save_entries(path, entries: dict) -> None:
-    """Write a name -> float32 array mapping as a UIUC container."""
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<BI", FORMAT_VERSION, len(entries))
-    for name, arr in entries.items():
-        encoded = name.encode("utf-8")
-        if len(encoded) > 0xFFFF:
-            raise ValueError(f"entry name too long: {name!r}")
-        blob += struct.pack("<H", len(encoded))
-        blob += encoded
-        blob += tensor_to_bytes(arr)
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    """Write a name -> float32 array mapping as a UIUC container, atomically:
+    on any error the file at `path`, if one exists, keeps its old bytes."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC + struct.pack("<BI", FORMAT_VERSION, len(entries)))
+            for name, arr in entries.items():
+                encoded = name.encode("utf-8")
+                if len(encoded) > 0xFFFF:
+                    raise ValueError(f"entry name too long: {name!r}")
+                fh.write(struct.pack("<H", len(encoded)) + encoded)
+                fh.write(tensor_to_bytes(arr))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_entries(path) -> dict:

@@ -3,6 +3,8 @@
 Initialization convention used everywhere: He-normal weights with
 std = sqrt(2 / fan_in), zero biases, BN gamma 1 and beta 0. All randomness
 is drawn from an explicit Prng so construction order fixes the weights.
+Only layers with no BN after them have a bias: a training-mode BN's mean
+subtraction cancels any bias in front of it.
 """
 
 import numpy as np
@@ -53,6 +55,7 @@ class BnParams:
 
 class ConvBnRelu:
     """3x3 (or kxk) conv -> batch norm -> relu, the basic unit of every block.
+    The conv has no bias, since the BN after it cancels one.
 
     Padding is dilation * (k // 2), so spatial size is preserved at stride 1
     for any dilation rate.
@@ -61,26 +64,25 @@ class ConvBnRelu:
     def __init__(self, prng: Prng, cin: int, cout: int, k: int = 3,
                  dilation: int = 1, with_relu: bool = True):
         self.w = _he_normal(prng, (cout, cin, k, k))
-        self.b = zeros_param(cout)
         self.bn = BnParams(cout)
         self.dilation = dilation
         self.pad = dilation * (k // 2)
         self.with_relu = with_relu
 
     def apply(self, x: Tensor, training: bool) -> Tensor:
-        y = conv2d(x, self.w, self.b, stride=1, pad=self.pad, dilation=self.dilation)
+        y = conv2d(x, self.w, None, stride=1, pad=self.pad, dilation=self.dilation)
         y = self.bn.apply(y, training)
         if self.with_relu:
             y = activation(y, "relu")
         return y
 
     def named(self, prefix: str) -> dict:
-        out = {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
+        out = {f"{prefix}.w": self.w}
         out.update(self.bn.named(f"{prefix}.bn"))
         return out
 
     def trainables(self) -> list:
-        return [self.w, self.b] + self.bn.trainables()
+        return [self.w] + self.bn.trainables()
 
 
 class Conv:

@@ -198,21 +198,22 @@ def _windows(flat: np.ndarray, kh: int, kw: int, dilation: int, row: int,
     return win.reshape(n, c * kh * kw, span)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0,
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0,
            dilation: int = 1) -> Tensor:
-    """Cross-correlation with zero padding: [N,Cin,H,W] -> [N,Cout,H',W']."""
+    """Cross-correlation with zero padding: [N,Cin,H,W] -> [N,Cout,H',W'].
+    With b None there is no bias add, and the op's inputs are (x, w)."""
     _require_rank(x, 4, "conv2d input")
     _require_rank(w, 4, "conv2d kernel")
-    _require_rank(b, 1, "conv2d bias")
-    _check_dtypes(x, w, b)
+    parents = (x, w) if b is None else (x, w, b)
+    _check_dtypes(*parents)
     n, cin, h, wd = x.data.shape
     cout, wcin, kh, kw = w.data.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"kernel dims must be odd, got {kh}x{kw}")
     if wcin != cin:
         raise ValueError(f"conv2d channel mismatch: input has {cin}, kernel expects {wcin}")
-    if b.data.shape[0] != cout:
-        raise ValueError(f"conv2d bias length {b.data.shape[0]} != Cout {cout}")
+    if b is not None and b.data.shape != (cout,):
+        raise ValueError(f"conv2d bias shape {b.data.shape} != ({cout},)")
     _conv_out_size(h, kh, stride, pad, dilation)
     _conv_out_size(wd, kw, stride, pad, dilation)
 
@@ -236,8 +237,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0,
     wmat = w.data.reshape(cout, cin * kh * kw)
     dense = np.matmul(wmat, _windows(padded(), kh, kw, dilation, wp, span))
     # a C-contiguous [N, Cout, H', W'] result, so the ops after it run unstrided
-    out_data = (dense.reshape(n, cout, hd, wp)[..., ::stride, :wdense:stride]
-                + b.data[None, :, None, None])
+    out_data = dense.reshape(n, cout, hd, wp)[..., ::stride, :wdense:stride]
+    if b is None:
+        out_data = np.ascontiguousarray(out_data)
+    else:
+        out_data = out_data + b.data[None, :, None, None]
 
     def grad_fn(g):
         # g scattered onto the dense positions, behind a maxoff zero margin:
@@ -249,13 +253,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0,
             gw = np.matmul(gdense,
                            _windows(padded(), kh, kw, dilation, wp, span).transpose(0, 2, 1))
             w.accum_grad(gw.sum(axis=0).reshape(cout, cin, kh, kw))
-        if b.requires_grad:
+        if b is not None and b.requires_grad:
             b.accum_grad(g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * kh * kw)
             gx = np.matmul(wflip, _windows(gpad[..., pad * wp:], kh, kw, dilation, wp, h * wp))
             x.accum_grad(gx.reshape(n, cin, h, wp)[..., pad: pad + wd])
-    return _make_out(out_data, "conv2d", (x, w, b), grad_fn)
+    return _make_out(out_data, "conv2d", parents, grad_fn)
 
 
 def max_pool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
@@ -338,14 +342,15 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
     if training:
         m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
         mu = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        xc = x.data - mu[None, :, None, None]
+        var = (xc * xc).mean(axis=(0, 2, 3))  # np.var's value, without its own x - mu
         running_mean.data[:] = (1.0 - momentum) * running_mean.data + momentum * mu
         running_var.data[:] = (1.0 - momentum) * running_var.data + momentum * var
     else:
-        mu = running_mean.data.astype(x.data.dtype)
+        xc = x.data - running_mean.data.astype(x.data.dtype)[None, :, None, None]
         var = running_var.data.astype(x.data.dtype)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu[None, :, None, None]) * inv_std[None, :, None, None]
+    xhat = xc * inv_std[None, :, None, None]
     out_data = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 
     def grad_fn(g):
@@ -483,32 +488,36 @@ def concat_channels(xs: list) -> Tensor:
                      tuple(xs), grad_fn)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Fully connected layer on [N,C,1,1] vectors: y = w @ x + b."""
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Fully connected layer on [N,C,1,1] vectors: y = w @ x + b.
+    With b None there is no bias add, and the op's inputs are (x, w)."""
     _require_rank(x, 4, "linear input")
     _require_rank(w, 2, "linear weight")
-    _require_rank(b, 1, "linear bias")
-    _check_dtypes(x, w, b)
+    parents = (x, w) if b is None else (x, w, b)
+    _check_dtypes(*parents)
     n, c, h, wd = x.data.shape
     if h != 1 or wd != 1:
         raise ValueError(f"linear input spatial dims must be 1x1, got {h}x{wd}")
     cout, cin = w.data.shape
     if cin != c:
         raise ValueError(f"linear channel mismatch: input has {c}, weight expects {cin}")
-    if b.data.shape[0] != cout:
-        raise ValueError(f"linear bias length {b.data.shape[0]} != Cout {cout}")
+    if b is not None and b.data.shape != (cout,):
+        raise ValueError(f"linear bias shape {b.data.shape} != ({cout},)")
     x2 = x.data.reshape(n, c)
-    out_data = (x2 @ w.data.T + b.data).reshape(n, cout, 1, 1)
+    y2 = x2 @ w.data.T
+    if b is not None:
+        y2 = y2 + b.data
+    out_data = y2.reshape(n, cout, 1, 1)
 
     def grad_fn(g):
         g2 = g.reshape(n, cout)
         if w.requires_grad:
             w.accum_grad(g2.T @ x2)
-        if b.requires_grad:
+        if b is not None and b.requires_grad:
             b.accum_grad(g2.sum(axis=0))
         if x.requires_grad:
             x.accum_grad((g2 @ w.data).reshape(n, c, 1, 1))
-    return _make_out(out_data, "linear", (x, w, b), grad_fn)
+    return _make_out(out_data, "linear", parents, grad_fn)
 
 
 # ---------------------------------------------------------------------------

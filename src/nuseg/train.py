@@ -152,10 +152,14 @@ def train_loop(params: ModelParams, dataset: list, cfg: TrainConfig,
 
     Shuffling is per-epoch deterministic: epoch e uses the (e+1)-th raw
     output of a splitmix64 stream seeded with cfg.seed. A non-finite loss
-    aborts immediately, naming the step. `max_steps` > 0 caps total steps.
+    aborts immediately, naming the step. `max_steps` > 0 caps total steps;
+    `ckpt_every` > 0 also checkpoints after every that many epochs.
     """
     if not dataset:
         raise ValueError("training dataset is empty")
+    for name, value in (("ckpt_every", ckpt_every), ("max_steps", max_steps)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     weights = cfg.loss_weights
     if weights is None:
         weights = [1.0] * (params.cfg.n_side + 1)

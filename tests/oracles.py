@@ -17,6 +17,7 @@ import numpy as np
 
 
 def conv2d_loops(x, w, b, stride=1, pad=0, dilation=1):
+    """b None means no bias: every sum starts at 0."""
     n, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
     ho = (h + 2 * pad - dilation * (kh - 1) - 1) // stride + 1
@@ -28,7 +29,7 @@ def conv2d_loops(x, w, b, stride=1, pad=0, dilation=1):
         for co in range(cout):
             for oy in range(ho):
                 for ox in range(wo):
-                    acc = float(b[co])
+                    acc = 0.0 if b is None else float(b[co])
                     for ci in range(cin):
                         for ky in range(kh):
                             for kx in range(kw):
@@ -36,6 +37,20 @@ def conv2d_loops(x, w, b, stride=1, pad=0, dilation=1):
                                 ix = ox * stride + kx * dilation
                                 acc += float(xp[ni, ci, iy, ix]) * float(w[co, ci, ky, kx])
                     out[ni, co, oy, ox] = acc
+    return out
+
+
+def linear_loops(x, w, b):
+    """[N,C,1,1] -> [N,Cout,1,1]; b None means no bias."""
+    n, c = x.shape[0], x.shape[1]
+    cout = w.shape[0]
+    out = np.zeros((n, cout, 1, 1), dtype=np.float64)
+    for ni in range(n):
+        for o in range(cout):
+            acc = 0.0 if b is None else float(b[o])
+            for ci in range(c):
+                acc += float(w[o, ci]) * float(x[ni, ci, 0, 0])
+            out[ni, o, 0, 0] = acc
     return out
 
 
@@ -121,7 +136,7 @@ def bce_f64(p, t, clamp=1e-7):
 
 def conv_bn_relu_loops(x, unit, with_relu=None):
     """Forward one ConvBnRelu from its raw arrays."""
-    y = conv2d_loops(x, unit.w.data.astype(np.float64), unit.b.data,
+    y = conv2d_loops(x, unit.w.data.astype(np.float64), None,
                      pad=unit.pad, dilation=unit.dilation)
     y = batchnorm_train_loops(y, unit.bn.gamma.data, unit.bn.beta.data)
     if with_relu if with_relu is not None else unit.with_relu:
@@ -163,7 +178,7 @@ def ica_forward_loops(f_h_raw, f_l, params, gate_kind="sigmoid"):
     t1 = np.empty((n, sq), dtype=np.float64)
     for ni in range(n):
         for o in range(sq):
-            t1[ni, o] = float(params.b1.data[o]) + sum(
+            t1[ni, o] = sum(
                 float(params.w1.data[o, ci]) * z[ni, ci] for ci in range(c))
     t1 = batchnorm_train_loops(t1[:, :, None, None], params.bn1.gamma.data,
                                params.bn1.beta.data)[:, :, 0, 0]
@@ -171,7 +186,7 @@ def ica_forward_loops(f_h_raw, f_l, params, gate_kind="sigmoid"):
     t2 = np.empty((n, c), dtype=np.float64)
     for ni in range(n):
         for o in range(c):
-            t2[ni, o] = float(params.b2.data[o]) + sum(
+            t2[ni, o] = sum(
                 float(params.w2.data[o, s]) * t1[ni, s] for s in range(sq))
     t2 = batchnorm_train_loops(t2[:, :, None, None], params.bn2.gamma.data,
                                params.bn2.beta.data)[:, :, 0, 0]

@@ -371,8 +371,8 @@ def test_c10_counting_correctness(capsys):
     count. Full-preset totals are printed next to the reference design's
     50.54M parameters and 33.64G MACs for comparison only."""
     def cbr(cin, cout):
-        # conv kernel + bias, then the BN affine pair
-        return 9 * cin * cout + cout + 2 * cout
+        # conv kernel (no bias: the BN cancels one), then the BN affine pair
+        return 9 * cin * cout + 2 * cout
 
     def rsu(depth, cin, mid, cout):
         total = cbr(cin, cout) + cbr(cout, mid)
@@ -384,7 +384,7 @@ def test_c10_counting_correctness(capsys):
 
     def ica(c, r=4):
         s = c // r
-        gates = (s * c + s + 2 * s) + (c * s + c + 2 * c)  # squeeze, excite
+        gates = (s * c + 2 * s) + (c * s + 2 * c)  # squeeze, excite; BN, no bias
         spatial = (s * c + 2 * s) + (2 * 9 + 1)  # 1x1 reduce + BN, 3x3 fuse
         return gates + spatial
 
@@ -394,7 +394,9 @@ def test_c10_counting_correctness(capsys):
               + ica(16) + ica(8)
               + (9 * 8 + 1) + (9 * 16 + 1) + (9 * 16 + 1)  # side heads
               + (3 + 1))                                   # fusion 1x1
-    assert ledger == 35883
+    # by hand: RSUs 2168 + 7040 + 8192 + 12800 + 4256 = 34456, projections
+    # 408, ICAs 259 + 91, heads 363, fusion 4
+    assert ledger == 35581
     params = ModelParams(ModelConfig(preset="tiny"), Prng(0))
     assert count_params(params) == ledger
 

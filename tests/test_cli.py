@@ -94,6 +94,14 @@ class TestTrain:
         for stored, fresh in zip(params.trainables(), init.trainables()):
             np.testing.assert_array_equal(stored.data, fresh.data)
 
+    def test_negative_ckpt_every_writes_nothing(self, workdir, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        code = main(["train", "--data", str(workdir["data"]),
+                     "--out", str(ckpt), "--ckpt-every", "-1"])
+        assert code == 1
+        assert "error: ckpt_every must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_summary_reports_steps_and_loss(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "t.cfg"
         cfg.write_text("epochs = 1\nbatch_size = 4\nseed = 2\n")

@@ -32,9 +32,10 @@ class TestParamLayout:
             IcaParams(Prng(0), 6, reduction=4)
 
     def test_trainable_scalar_count(self):
-        """C=4, r=4: excitation 4+1+2 and 4+4+8, reduce conv 4+2, fuse 18+1."""
+        """C=4, r=4: excitation 4+2 and 4+8 (no biases, BN follows each),
+        reduce conv 4+2, fuse 18+1."""
         params = fresh(4)
-        assert sum(t.data.size for t in params.trainables()) == 48
+        assert sum(t.data.size for t in params.trainables()) == 43
 
     def test_fixed_reduce_bias_is_not_trainable_or_named(self):
         params = fresh(4)
@@ -48,7 +49,10 @@ class TestParamLayout:
         for key in ("ica2.w1", "ica2.w2", "ica2.c1.w", "ica2.c3.w",
                     "ica2.bn1.g", "ica2.c1.bn.rm"):
             assert key in named
-        assert len(named) == 19
+        for key in ("ica2.b1", "ica2.b2"):
+            assert key not in named
+        # w1, w2, c1.w, c3.w, c3.b + three BNs x (g, b, rm, rv)
+        assert len(named) == 17
 
 
 class TestChannelGate:
@@ -59,8 +63,8 @@ class TestChannelGate:
         assert np.all(g.data > 0.0) and np.all(g.data < 1.0)
 
     def test_zero_input_gives_half_across_channels(self):
-        """Zero features with zero excitation biases: every normalization sees
-        zeros, so the gate is sigmoid(0) = 0.5 on every channel, exactly."""
+        """Zero features through the bias-free excitation: every normalization
+        sees zeros, so the gate is sigmoid(0) = 0.5 on every channel, exactly."""
         params = fresh(8)
         g = channel_gate(Tensor(np.zeros((2, 8, 4, 4), dtype=np.float32)),
                          params, training=True)

@@ -4,6 +4,7 @@ The layouts are frozen byte contracts, so these tests assert raw bytes
 (magic, version, dtype code, little-endian dims) as well as round-trips.
 """
 
+import io
 import struct
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nuseg import io as tio
 from nuseg.io import (load_entries, load_tensor, save_entries, save_tensor,
                       tensor_from_bytes, tensor_to_bytes)
 from nuseg.prng import Prng
@@ -147,6 +149,23 @@ class TestContainerFormat:
         path.write_bytes(b"UIUC" + struct.pack("<BI", 1, 2) + body)
         with pytest.raises(ValueError, match="duplicate"):
             load_entries(path)
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        """The disk fills up part-way through a rewrite: the file already at
+        the path keeps its bytes and no temporary file is left behind."""
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                super().write(bytes(data[:5]))
+                raise OSError(28, "No space left on device")
+
+        path = tmp_path / "c.uiuc"
+        save_entries(path, self.sample_entries())
+        before = path.read_bytes()
+        monkeypatch.setattr(tio, "open", FullDisk, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_entries(path, {"other": np.zeros(4, dtype=np.float32)})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.uiuc"]
 
     def test_empty_container(self, tmp_path):
         path = tmp_path / "c.uiuc"

@@ -12,6 +12,7 @@ from nuseg.model import (CONFIG_KEYS, ModelConfig, ModelParams, count_flops,
                          parse_model_config, render_model_config)
 from nuseg.prng import Prng
 from nuseg.tensor import Tensor, add, backward, sum_all
+from nuseg.train import total_loss
 
 from oracles import conv2d_mac_count
 
@@ -232,6 +233,21 @@ class TestGradientReach:
         # the fusion kernel sits on the only path to the loss
         assert np.any(params.fuse.w.grad != 0.0)
         assert np.any(params.heads[0].w.grad != 0.0)
+
+    def test_training_step_at_batch_4_reaches_every_trainable(self):
+        """One training-mode forward and backward of the tiny preset at batch
+        4 gives every trainable a non-zero gradient: none is a bias that a
+        batch norm cancels."""
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(13))
+        out = forward(params, image(14, n=4), training=True)
+        mask = np.zeros((4, 1, 32, 32), dtype=np.float32)
+        mask[:, :, 10:14, 18:21] = 1.0
+        backward(total_loss(out, Tensor(mask), [1.0] * (params.cfg.n_side + 1)))
+        names = {id(t): name for name, t in params.named().items()}
+        dead = [names[id(t)] for t in params.trainables()
+                if t.grad is None or not np.any(t.grad != 0.0)]
+        assert dead == []
+        assert len(params.trainables()) == 136
 
 
 class TestInfer:

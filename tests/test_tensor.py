@@ -20,7 +20,7 @@ from nuseg.tensor import (Tape, Tensor, activation, add, backward, batch_norm,
                           upsample_bilinear, zero_grads)
 
 from oracles import (batchnorm_train_loops, bce_f64, bilinear_loops,
-                     conv2d_loops, maxpool_loops)
+                     conv2d_loops, linear_loops, maxpool_loops)
 
 
 def rand(prng, *shape):
@@ -65,6 +65,9 @@ def _op_cases():
         "add": (add, [r(1, 2, 3, 3), r(1, 2, 3, 3)]),
         "scale": (lambda x: scale(x, 2.0), [r(1, 2, 3, 3)]),
         "sum_all": (sum_all, [r(1, 2, 3, 3)]),
+        "conv2d_no_bias": (lambda x, w: conv2d(x, w, None, pad=1),
+                           [r(1, 2, 4, 4), r(3, 2, 3, 3)]),
+        "linear_no_bias": (lambda x, w: linear(x, w, None), [r(2, 4, 1, 1), r(3, 4)]),
     }
 
 
@@ -137,6 +140,15 @@ class TestTensorBasics:
         assert tape.names() == ["max_pool2d", "relu"]
         assert tape.ops[1].inputs == (y,) and tape.ops[1].output is z
 
+    def test_tape_inputs_of_bias_free_ops(self):
+        prng = Prng(8)
+        x, w = Tensor(prng.normal((1, 2, 4, 4))), Tensor(prng.normal((3, 2, 3, 3)))
+        v, m = Tensor(prng.normal((2, 3, 1, 1))), Tensor(prng.normal((4, 3)))
+        with Tape() as tape:
+            conv2d(x, w, None, pad=1)
+            linear(v, m, None)
+        assert [r.inputs for r in tape.ops] == [(x, w), (v, m)]
+
 
 class TestConv2d:
     def test_hand_case_4x4_ones_kernel(self):
@@ -159,6 +171,15 @@ class TestConv2d:
                              stride=stride, pad=pad, dilation=dil).data
                 want = conv2d_loops(x, w, b, stride=stride, pad=pad, dilation=dil)
                 np.testing.assert_allclose(got, want, rtol=2e-5, atol=2e-5)
+                # b None sums from 0: the oracle without a bias, and a zero
+                # bias bit for bit
+                got = conv2d(Tensor(x), Tensor(w), None,
+                             stride=stride, pad=pad, dilation=dil).data
+                want = conv2d_loops(x, w, None, stride=stride, pad=pad, dilation=dil)
+                np.testing.assert_allclose(got, want, rtol=2e-5, atol=2e-5)
+                zero = conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(4, np.float32)),
+                              stride=stride, pad=pad, dilation=dil).data
+                np.testing.assert_array_equal(got, zero)
 
     @pytest.mark.parametrize("case", [
         # (x shape, k, stride, pad, dilation, dtype, transposed input)
@@ -188,6 +209,16 @@ class TestConv2d:
         for k, pad in ((3, 1), (1, 0)):
             x, w, b = rand(prng, 2, 3, 6, 7), rand(prng, 4, 3, k, k), rand(prng, 4)
             assert conv2d(x, w, b, pad=pad).data.flags.c_contiguous
+        for k, pad, stride in ((3, 1, 1), (1, 0, 1), (3, 1, 2), (1, 1, 1)):
+            x, w = rand(prng, 2, 3, 7, 9), rand(prng, 4, 3, k, k)
+            assert conv2d(x, w, None, stride=stride, pad=pad).data.flags.c_contiguous
+
+    def test_bias_shape_rejected(self):
+        x = Tensor(np.ones((1, 1, 4, 4), dtype=np.float32))
+        w = Tensor(np.ones((2, 1, 3, 3), dtype=np.float32))
+        for b in (np.zeros(3, np.float32), np.zeros((2, 1), np.float32)):
+            with pytest.raises(ValueError, match="bias shape"):
+                conv2d(x, w, Tensor(b), pad=1)
 
     def test_pad_equals_dilation_preserves_size(self):
         """3x3 kernels at stride 1 keep H,W whenever pad == dilation."""
@@ -241,6 +272,14 @@ class TestConv2d:
         err = grad_check(lambda x_, w_, b_: weighted_sum(
             conv2d(x_, w_, b_, pad=0, dilation=2), Prng(4)), [x, w, b])
         assert err < 1e-3
+
+    def test_grad_no_bias(self):
+        prng = Prng(34)
+        for k, stride, pad, dil in ((3, 1, 1, 1), (3, 2, 2, 2), (1, 2, 2, 2)):
+            x, w = rand(prng, 2, 2, 7, 7), rand(prng, 3, 2, k, k)
+            err = grad_check(lambda x_, w_: weighted_sum(
+                conv2d(x_, w_, None, stride=stride, pad=pad, dilation=dil), Prng(5)), [x, w])
+            assert err < 1e-3
 
 
 class TestMaxPool:
@@ -562,6 +601,19 @@ class TestLinear:
         b = Tensor(np.zeros(1, dtype=np.float32))
         assert linear(x, w, b).data[0, 0, 0, 0] == 5.0
 
+    def test_matches_loop_oracle_with_and_without_bias(self):
+        prng = Prng(112)
+        x, w, b = prng.normal((3, 5, 1, 1)), prng.normal((4, 5)), prng.normal((4,))
+        for bias in (b, None):
+            got = linear(Tensor(x), Tensor(w), None if bias is None else Tensor(bias)).data
+            np.testing.assert_allclose(got, linear_loops(x, w, bias), rtol=1e-5, atol=1e-6)
+
+    def test_bias_shape_rejected(self):
+        x = Tensor(np.ones((1, 2, 1, 1), dtype=np.float32))
+        w = Tensor(np.eye(2, dtype=np.float32))
+        with pytest.raises(ValueError, match="bias shape"):
+            linear(x, w, Tensor(np.zeros(3, dtype=np.float32)))
+
     def test_spatial_dims_must_be_1x1(self):
         x = Tensor(np.ones((1, 2, 2, 2), dtype=np.float32))
         w = Tensor(np.eye(2, dtype=np.float32))
@@ -576,6 +628,13 @@ class TestLinear:
         b = Tensor(prng.normal((2,)), requires_grad=True)
         err = grad_check(lambda x_, w_, b_: weighted_sum(
             linear(x_, w_, b_), Prng(13)), [x, w, b])
+        assert err < 1e-3
+
+    def test_grad_no_bias(self):
+        prng = Prng(113)
+        x = rand(prng, 3, 4, 1, 1)
+        w = Tensor(prng.normal((2, 4)), requires_grad=True)
+        err = grad_check(lambda x_, w_: weighted_sum(linear(x_, w_, None), Prng(14)), [x, w])
         assert err < 1e-3
 
 

@@ -268,6 +268,14 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="mixed image sizes"):
             train_loop(params, dataset, cfg, max_steps=1)
 
+    @pytest.mark.parametrize("arg", ["ckpt_every", "max_steps"])
+    def test_negative_counts_rejected(self, tmp_path, arg):
+        params, dataset, cfg = tiny_setup(seed=7, epochs=2, batch_size=2)
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match=f"{arg} must be >= 0, got -1"):
+            train_loop(params, dataset, cfg, ckpt_path=path, **{arg: -1})
+        assert not path.exists()
+
     def test_empty_dataset_rejected(self):
         params = ModelParams(ModelConfig(preset="tiny"), Prng(11))
         with pytest.raises(ValueError, match="empty"):
@@ -344,6 +352,33 @@ class TestCheckpoint:
         tio.save_entries(path, entries)
         with pytest.raises(ValueError, match="unknown tensors.*mystery"):
             load_checkpoint(path, ModelParams(ModelConfig(preset="tiny"), Prng(0)))
+
+    def test_stale_bias_entries_are_rejected(self, tmp_path):
+        """A checkpoint of the older layout, which kept a bias in every
+        ConvBnRelu and in both ICA excitation matrices, does not load."""
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(22))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params)
+        entries = tio.load_entries(path)
+        stale = {}
+        for name, arr in entries.items():
+            unit, _, stat = name.rpartition(".")
+            if stat != "g":
+                continue
+            if unit.endswith(".bn") and not unit.endswith(".c1.bn"):
+                stale[unit[:-len(".bn")] + ".b"] = np.zeros_like(arr)
+            elif unit.endswith((".bn1", ".bn2")):
+                stale[unit[:-len(".bn1")] + ".b" + unit[-1]] = np.zeros_like(arr)
+        assert len(stale) == 38 and "en1.cin.b" in stale and "ica2.b1" in stale
+        entries.update(stale)
+        tio.save_entries(path, entries)
+        want = f"checkpoint holds unknown tensors: {sorted(stale)}"
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(path, ModelParams(ModelConfig(preset="tiny"), Prng(0)))
+        assert str(exc.value) == want
+        with pytest.raises(ValueError) as exc:
+            open_checkpoint(path)
+        assert str(exc.value) == want
 
     def test_open_checkpoint_rebuilds_the_stored_architecture(self, tmp_path):
         cfg = ModelConfig(preset="small", ica_enabled=False)
