@@ -23,24 +23,24 @@ __all__ = ["IcaParams", "IcaOutput", "channel_gate", "channel_attention",
            "spatial_gate", "spatial_attention", "ica_forward"]
 
 GATE_KINDS = ("sigmoid", "relu")
+REDUCTION = 4  # channel squeeze ratio r of the excitation and the 1x1 reduction
 
 
 class IcaParams:
     """Parameters for one attention module over C-channel features.
 
-    The excitation pair maps C -> C/r -> C with BN after each matrix, so
-    neither matrix has a bias. The 1x1 reduction conv is followed by BN too;
-    its bias `c1_bias` is a fixed zero, neither trained nor checkpointed.
-    The 3x3 fusion conv, with a trained bias, maps the 2-channel pooled
-    stack to a single-plane gate.
+    The excitation pair maps C -> C/r -> C, with r = REDUCTION, and has BN
+    after each matrix, so neither matrix has a bias. The 1x1 reduction conv
+    (C -> C/r) is followed by BN too; its bias `c1_bias` is a fixed zero,
+    neither trained nor checkpointed. The 3x3 fusion conv, with a trained
+    bias, maps the 2-channel pooled stack to a single-plane gate.
     """
 
-    def __init__(self, prng: Prng, channels: int, reduction: int = 4):
-        if channels % reduction:
-            raise ValueError(f"channels {channels} not divisible by reduction {reduction}")
+    def __init__(self, prng: Prng, channels: int):
+        if channels % REDUCTION:
+            raise ValueError(f"channels {channels} not divisible by reduction {REDUCTION}")
         self.channels = channels
-        self.reduction = reduction
-        squeezed = channels // reduction
+        squeezed = channels // REDUCTION
         self.w1 = _he_normal(prng, (squeezed, channels))
         self.bn1 = BnParams(squeezed)
         self.w2 = _he_normal(prng, (channels, squeezed))

@@ -54,27 +54,21 @@ class BnParams:
 
 
 class ConvBnRelu:
-    """3x3 (or kxk) conv -> batch norm -> relu, the basic unit of every block.
+    """3x3 conv -> batch norm -> relu, the basic unit of every block.
     The conv has no bias, since the BN after it cancels one.
 
-    Padding is dilation * (k // 2), so spatial size is preserved at stride 1
+    Padding equals the dilation, so spatial size is preserved at stride 1
     for any dilation rate.
     """
 
-    def __init__(self, prng: Prng, cin: int, cout: int, k: int = 3,
-                 dilation: int = 1, with_relu: bool = True):
-        self.w = _he_normal(prng, (cout, cin, k, k))
+    def __init__(self, prng: Prng, cin: int, cout: int, dilation: int = 1):
+        self.w = _he_normal(prng, (cout, cin, 3, 3))
         self.bn = BnParams(cout)
         self.dilation = dilation
-        self.pad = dilation * (k // 2)
-        self.with_relu = with_relu
 
     def apply(self, x: Tensor, training: bool) -> Tensor:
-        y = conv2d(x, self.w, None, stride=1, pad=self.pad, dilation=self.dilation)
-        y = self.bn.apply(y, training)
-        if self.with_relu:
-            y = activation(y, "relu")
-        return y
+        y = conv2d(x, self.w, None, stride=1, pad=self.dilation, dilation=self.dilation)
+        return activation(self.bn.apply(y, training), "relu")
 
     def named(self, prefix: str) -> dict:
         out = {f"{prefix}.w": self.w}

@@ -16,7 +16,7 @@ rule so `stages` and per-stage `mid_ch.<i>` overrides stay consistent.
 
 from dataclasses import dataclass
 
-from .ica import GATE_KINDS, IcaParams, ica_forward
+from .ica import GATE_KINDS, REDUCTION, IcaParams, ica_forward
 from .layers import Conv
 from .prng import Prng
 from .rsu import RsuParams, RsuSpec, rsu_forward
@@ -28,6 +28,7 @@ __all__ = ["ModelConfig", "ModelParams", "SideOutputs", "parse_model_config",
            "count_params", "count_flops", "PRESETS", "CONFIG_KEYS"]
 
 PRESETS = ("tiny", "small", "full")
+INPUT_CHANNELS = 3  # images enter as 3 channels (a grey frame repeated)
 CONFIG_KEYS = "gate_kind, ica_enabled, mid_ch.<i>, preset, stages"
 
 # family rule for tiny/small: stage i doubles mid/out until the cap
@@ -54,7 +55,7 @@ class ModelConfig:
 
     def __init__(self, preset: str = "tiny", stages: int = None,
                  mid_overrides: dict = None, ica_enabled: bool = True,
-                 gate_kind: str = "sigmoid", input_channels: int = 3):
+                 gate_kind: str = "sigmoid"):
         if preset not in PRESETS:
             raise ValueError(f"unknown preset {preset!r}, choose from {PRESETS}")
         if gate_kind not in GATE_KINDS:
@@ -64,7 +65,6 @@ class ModelConfig:
         self.preset = preset
         self.ica_enabled = bool(ica_enabled)
         self.gate_kind = gate_kind
-        self.input_channels = input_channels
         self.mid_overrides = dict(mid_overrides or {})
 
         if preset == "full":
@@ -89,7 +89,7 @@ class ModelConfig:
                 dec_widths[self.stages - 1 - i] = (mid, dec_widths[self.stages - 1 - i][1])
 
         self.encoders = []
-        cin = input_channels
+        cin = INPUT_CHANNELS
         for depth, mid, out, mode in enc_rows:
             self.encoders.append(RsuSpec(depth, cin, mid, out, mode))
             cin = out
@@ -130,7 +130,9 @@ class ModelConfig:
 
 
 def _config_lines(text: str):
-    """(key, value) pairs of flat `key = value` lines; `#` starts a comment."""
+    """(key, value) pairs of flat `key = value` lines; `#` starts a comment.
+    A key set on two lines is an error naming both."""
+    first_line = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -138,6 +140,9 @@ def _config_lines(text: str):
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key = value, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ValueError(f"config key {key!r} set twice, on lines {first_line[key]} and {lineno}")
+        first_line[key] = lineno
         yield key, val
 
 
@@ -260,8 +265,8 @@ class ModelParams:
 
 
 def _check_input(cfg: ModelConfig, x: Tensor) -> None:
-    if x.data.ndim != 4 or x.data.shape[1] != cfg.input_channels:
-        raise ValueError(f"model input must be [N,{cfg.input_channels},H,W], "
+    if x.data.ndim != 4 or x.data.shape[1] != INPUT_CHANNELS:
+        raise ValueError(f"model input must be [N,{INPUT_CHANNELS},H,W], "
                          f"got {x.data.shape}")
     div = cfg.required_divisor()
     n, c, h, w = x.data.shape
@@ -361,8 +366,8 @@ def _rsu_macs(spec: RsuSpec, h: int, w: int) -> int:
     return total
 
 
-def _ica_macs(channels: int, reduction: int, h: int, w: int) -> int:
-    squeezed = channels // reduction
+def _ica_macs(channels: int, h: int, w: int) -> int:
+    squeezed = channels // REDUCTION
     total = squeezed * channels + channels * squeezed  # excitation pair
     total += _conv_macs(channels, squeezed, 1, h, w)
     total += _conv_macs(2, 1, 3, h, w)
@@ -391,7 +396,7 @@ def count_flops(cfg: ModelConfig, h: int, w: int) -> int:
         skip_ch = cfg.encoders[level - 1].out_ch
         if cfg.ica_enabled:
             total += _conv_macs(up_ch, skip_ch, 1, res[level][0], res[level][1])  # projection
-            total += _ica_macs(skip_ch, 4, rh, rw)
+            total += _ica_macs(skip_ch, rh, rw)
         total += _rsu_macs(spec, rh, rw)
         up_ch = spec.out_ch
         total += _conv_macs(spec.out_ch, 1, 3, rh, rw)  # side head

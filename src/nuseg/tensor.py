@@ -13,10 +13,10 @@ gradient checker run an entire graph in float64 while normal execution stays
 in float32.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "Tensor", "Tape", "backward", "zero_grads",
@@ -262,26 +262,23 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     return _make_out(out_data, "conv2d", parents, grad_fn)
 
 
-def max_pool2d(x: Tensor, k: int = 2, stride: int = 2) -> Tensor:
-    """Per-window maximum; ties resolve to the first occurrence in row-major
-    window order, and the backward pass routes the gradient there."""
+def max_pool2d(x: Tensor) -> Tensor:
+    """2x2 max-pool at stride 2 over the four taps x[..., i::2, j::2]; ties
+    resolve to the first tap in row-major order, which alone gets the grad."""
     _require_rank(x, 4, "max_pool2d input")
-    n, c, h, w = x.data.shape
-    if k > h or k > w:
-        raise ValueError(f"pool window {k} exceeds input {h}x{w}")
-    if (h - k) % stride != 0 or (w - k) % stride != 0:
-        raise ValueError(f"pool windows do not tile input {h}x{w} with k={k}, stride={stride}")
-    ho = (h - k) // stride + 1
-    wo = (w - k) // stride + 1
-    v = sliding_window_view(x.data, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    flat = v.reshape(n, c, ho, wo, k * k)
-    idx = flat.argmax(axis=-1)  # first occurrence on ties
-    out_data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    h, w = x.data.shape[2:]
+    if h < 2 or w < 2 or h % 2 or w % 2:
+        raise ValueError(f"2x2 pool windows do not tile input {h}x{w}")
+    taps = [x.data[..., i::2, j::2] for i in (0, 1) for j in (0, 1)]  # row-major
+    out_data = np.maximum(np.maximum(taps[0], taps[1]), np.maximum(taps[2], taps[3]))
 
     def grad_fn(g):
         gx = np.zeros_like(x.data)
-        ni, ci, hi, wi = np.indices((n, c, ho, wo), sparse=True)
-        np.add.at(gx, (ni, ci, hi * stride + idx // k, wi * stride + idx % k), g)
+        free = np.ones(out_data.shape, dtype=bool)  # windows not yet routed
+        for k, tap in enumerate(taps):
+            hit = free & (tap == out_data)
+            np.copyto(gx[..., k // 2::2, k % 2::2], g, where=hit)
+            free &= ~hit
         x.accum_grad(gx)
     return _make_out(out_data, "max_pool2d", (x,), grad_fn)
 
@@ -320,17 +317,14 @@ def upsample_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
-               running_var: Tensor, eps: float = 1e-5, momentum: float = 0.1,
-               training: bool = True) -> Tensor:
-    """Per-channel batch normalization over the N,H,W axes.
+               running_var: Tensor, training: bool = True) -> Tensor:
+    """Per-channel batch normalization over the N,H,W axes, with eps 1e-5.
 
     Training mode normalizes with batch statistics and folds them into the
-    running buffers as running <- (1-momentum)*running + momentum*batch
-    (biased batch variance throughout); eval mode normalizes with the running
-    buffers. Running buffers are plain state, not graph nodes.
+    running buffers as running <- 0.9*running + 0.1*batch (biased batch
+    variance throughout); eval mode normalizes with the running buffers.
+    Running buffers are plain state, not graph nodes.
     """
-    if eps <= 0:
-        raise ValueError("batch_norm eps must be > 0")
     _require_rank(x, 4, "batch_norm input")
     c = x.data.shape[1]
     for t, name in ((gamma, "gamma"), (beta, "beta"),
@@ -344,12 +338,12 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
         mu = x.data.mean(axis=(0, 2, 3))
         xc = x.data - mu[None, :, None, None]
         var = (xc * xc).mean(axis=(0, 2, 3))  # np.var's value, without its own x - mu
-        running_mean.data[:] = (1.0 - momentum) * running_mean.data + momentum * mu
-        running_var.data[:] = (1.0 - momentum) * running_var.data + momentum * var
+        running_mean.data[:] = 0.9 * running_mean.data + 0.1 * mu
+        running_var.data[:] = 0.9 * running_var.data + 0.1 * var
     else:
         xc = x.data - running_mean.data.astype(x.data.dtype)[None, :, None, None]
         var = running_var.data.astype(x.data.dtype)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv_std[None, :, None, None]
     out_data = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 

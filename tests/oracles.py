@@ -87,6 +87,24 @@ def maxpool_loops(x, k=2, stride=2):
     return out
 
 
+def maxpool_grad_loops(x, g):
+    """Input gradient of a 2x2 stride-2 max-pool: each output's gradient goes
+    to the first window element, in row-major order, that holds the max."""
+    n, c, ho, wo = g.shape
+    out = np.zeros_like(x)
+    for ni in range(n):
+        for ci in range(c):
+            for oy in range(ho):
+                for ox in range(wo):
+                    window = [(2 * oy + ky, 2 * ox + kx) for ky in range(2) for kx in range(2)]
+                    best = max(x[ni, ci, y, xx] for y, xx in window)
+                    for y, xx in window:
+                        if x[ni, ci, y, xx] == best:
+                            out[ni, ci, y, xx] = g[ni, ci, oy, ox]
+                            break
+    return out
+
+
 def bilinear_loops(x, out_h, out_w):
     n, c, h, w = x.shape
     out = np.zeros((n, c, out_h, out_w), dtype=np.float64)
@@ -134,14 +152,12 @@ def bce_f64(p, t, clamp=1e-7):
 # block-level forwards (straight-line, training-mode statistics)
 
 
-def conv_bn_relu_loops(x, unit, with_relu=None):
+def conv_bn_relu_loops(x, unit):
     """Forward one ConvBnRelu from its raw arrays."""
     y = conv2d_loops(x, unit.w.data.astype(np.float64), None,
-                     pad=unit.pad, dilation=unit.dilation)
+                     pad=unit.dilation, dilation=unit.dilation)
     y = batchnorm_train_loops(y, unit.bn.gamma.data, unit.bn.beta.data)
-    if with_relu if with_relu is not None else unit.with_relu:
-        y = np.maximum(y, 0.0)
-    return y
+    return np.maximum(y, 0.0)
 
 
 def rsu_forward_loops(params, x):

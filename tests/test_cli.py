@@ -102,6 +102,27 @@ class TestTrain:
         assert "error: ckpt_every must be >= 0, got -1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_repeated_model_config_key_writes_nothing(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("preset = tiny\npreset = small\n")
+        code = main(["train", "--data", str(workdir["data"]), "--model-cfg", str(cfg),
+                     "--out", str(tmp_path / "m.ckpt")])
+        assert code == 1
+        assert ("error: config key 'preset' set twice, on lines 1 and 2"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("flag", ["--out", "--curve"])
+    def test_missing_output_directory_writes_nothing(self, workdir, tmp_path, capsys, flag):
+        paths = {"--out": tmp_path / "m.ckpt", "--curve": tmp_path / "c.csv"}
+        paths[flag] = tmp_path / "nodir" / paths[flag].name
+        code = main(["train", "--data", str(workdir["data"]),
+                     "--out", str(paths["--out"]), "--curve", str(paths["--curve"])])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: output directory '{tmp_path / 'nodir'}'" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_summary_reports_steps_and_loss(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "t.cfg"
         cfg.write_text("epochs = 1\nbatch_size = 4\nseed = 2\n")

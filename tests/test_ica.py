@@ -29,7 +29,7 @@ def rand(seed, *shape):
 class TestParamLayout:
     def test_reduction_must_divide(self):
         with pytest.raises(ValueError, match="divisible"):
-            IcaParams(Prng(0), 6, reduction=4)
+            IcaParams(Prng(0), 6)
 
     def test_trainable_scalar_count(self):
         """C=4, r=4: excitation 4+2 and 4+8 (no biases, BN follows each),

@@ -11,7 +11,7 @@ from nuseg.model import (CONFIG_KEYS, ModelConfig, ModelParams, count_flops,
                          count_params, forward, forward_features, infer,
                          parse_model_config, render_model_config)
 from nuseg.prng import Prng
-from nuseg.tensor import Tensor, add, backward, sum_all
+from nuseg.tensor import Tape, Tensor, add, backward, sum_all
 from nuseg.train import total_loss
 
 from oracles import conv2d_mac_count
@@ -136,6 +136,16 @@ class TestConfigText:
     def test_bad_bool(self):
         with pytest.raises(ValueError, match="true or false"):
             parse_model_config("ica_enabled = yes\n")
+
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ValueError, match=r"'preset' set twice, on lines 1 and 3"):
+            parse_model_config("preset = tiny\nstages = 3\npreset = small\n")
+
+    def test_indexed_keys_are_distinct(self):
+        cfg = parse_model_config("mid_ch.2 = 6\nmid_ch.3 = 7\n")
+        assert cfg.mid_overrides == {2: 6, 3: 7}
+        with pytest.raises(ValueError, match="'mid_ch.2' set twice"):
+            parse_model_config("mid_ch.2 = 6\nmid_ch.2 = 7\n")
 
 
 class TestForwardShapes:
@@ -315,6 +325,27 @@ class TestCounters:
     def test_count_flops_requires_divisible_input(self):
         with pytest.raises(ValueError, match="divisible"):
             count_flops(ModelConfig(preset="tiny"), 30, 30)
+
+    @pytest.mark.parametrize("preset,ica_enabled,size", [
+        ("tiny", True, 32), ("tiny", False, 32), ("small", True, 64), ("full", True, 32)])
+    def test_macs_on_the_tape_equal_count_flops(self, preset, ica_enabled, size):
+        """One eval-mode forward: n*cout*ho*wo*cin*kh*kw summed over its
+        conv2d records plus n*cout*cin over its linear records."""
+        cfg = ModelConfig(preset=preset, ica_enabled=ica_enabled)
+        params = ModelParams(cfg, None)
+        with Tape() as tape:
+            forward(params, Tensor(np.zeros((1, 3, size, size), np.float32)), training=False)
+        macs = 0
+        for rec in tape.ops:
+            if rec.name == "conv2d":
+                n, cout, ho, wo = rec.output.data.shape
+                _, cin, kh, kw = rec.inputs[1].data.shape
+                macs += n * cout * ho * wo * cin * kh * kw
+            elif rec.name == "linear":
+                cout, cin = rec.inputs[1].data.shape
+                macs += rec.output.data.shape[0] * cout * cin
+        assert "linear" in tape.names() or not ica_enabled
+        assert macs == count_flops(cfg, size, size)
 
     def test_count_flops_grows_with_resolution(self):
         cfg = ModelConfig(preset="tiny")

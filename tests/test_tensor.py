@@ -20,7 +20,7 @@ from nuseg.tensor import (Tape, Tensor, activation, add, backward, batch_norm,
                           upsample_bilinear, zero_grads)
 
 from oracles import (batchnorm_train_loops, bce_f64, bilinear_loops,
-                     conv2d_loops, linear_loops, maxpool_loops)
+                     conv2d_loops, linear_loops, maxpool_grad_loops, maxpool_loops)
 
 
 def rand(prng, *shape):
@@ -308,6 +308,39 @@ class TestMaxPool:
         x = Tensor(np.ones((1, 1, 5, 4), dtype=np.float32))
         with pytest.raises(ValueError, match="tile"):
             max_pool2d(x)
+
+    @pytest.mark.parametrize("h,w", [(4, 5), (4, 3), (1, 4), (4, 1), (0, 4), (4, 0)])
+    def test_odd_or_short_sides_rejected(self, h, w):
+        with pytest.raises(ValueError, match="tile"):
+            max_pool2d(Tensor(np.ones((1, 1, h, w), dtype=np.float32)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ties_match_loop_oracles(self, dtype):
+        """Values from {0, 1, 2} tie inside most windows; every pair of taps
+        ties at the window max somewhere, and the gradient goes to the first."""
+        prng = Prng(43)
+        shape = (3, 2, 8, 6)
+        x = np.floor(prng.uniform_array(math.prod(shape)) * 3).reshape(shape).astype(dtype)
+        taps = [x[..., i::2, j::2] for i in (0, 1) for j in (0, 1)]
+        top = np.maximum.reduce(taps)
+        for a in range(4):
+            for b in range(a + 1, 4):
+                assert ((taps[a] == top) & (taps[b] == top)).any(), (a, b)
+        xt = Tensor(x, requires_grad=True)
+        out = max_pool2d(xt)
+        assert out.data.dtype == dtype
+        np.testing.assert_array_equal(out.data, maxpool_loops(x))
+        g = prng.normal(out.data.shape).astype(dtype)
+        backward(sum_all(mul_broadcast(out, Tensor(g))))
+        np.testing.assert_array_equal(xt.grad, maxpool_grad_loops(x, g))
+
+    def test_output_is_c_contiguous_and_taped(self):
+        x = Tensor(Prng(44).normal((2, 3, 6, 4)))
+        with Tape() as tape:
+            out = max_pool2d(x)
+        assert out.data.flags["C_CONTIGUOUS"]
+        assert out.data.shape == (2, 3, 3, 2)
+        assert tape.names() == ["max_pool2d"]
 
     def test_grad(self):
         prng = Prng(42)

@@ -5,6 +5,7 @@ Training-loop tests run a few steps of the smallest preset on 32x32 inputs;
 nothing here should take more than a second or two.
 """
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -111,6 +112,10 @@ class TestTrainConfig:
         with pytest.raises(ValueError) as err:
             parse_train_config("momentum = 0.9\n")
         assert TRAIN_KEYS in str(err.value)
+
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ValueError, match=r"'lr' set twice, on lines 2 and 4"):
+            parse_train_config("# rates\nlr = 0.1\nepochs = 2\nlr = 0.2\n")
 
     def test_negative_lr_rejected(self):
         with pytest.raises(ValueError, match="lr"):
@@ -275,6 +280,17 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=f"{arg} must be >= 0, got -1"):
             train_loop(params, dataset, cfg, ckpt_path=path, **{arg: -1})
         assert not path.exists()
+
+    @pytest.mark.parametrize("arg", ["ckpt_path", "curve_path"])
+    def test_missing_output_directory_rejected_before_step_0(self, tmp_path, monkeypatch,
+                                                              arg):
+        params, dataset, cfg = tiny_setup(seed=8, epochs=1, batch_size=2)
+        monkeypatch.setattr("nuseg.train.forward",
+                            lambda *args, **kwargs: pytest.fail("a training step ran"))
+        missing = tmp_path / "nodir"
+        with pytest.raises(ValueError, match=re.escape(f"output directory '{missing}'")):
+            train_loop(params, dataset, cfg, **{arg: missing / "out.file"})
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_dataset_rejected(self):
         params = ModelParams(ModelConfig(preset="tiny"), Prng(11))
