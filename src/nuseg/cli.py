@@ -11,9 +11,8 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from .data import DatasetTemplate, gen_dataset, load_dataset, load_pgm, save_pgm
+from .data import (DatasetTemplate, _model_input, gen_dataset, load_dataset, load_pgm,
+                   save_pgm)
 from .io import save_tensor
 from .metrics import write_report_csv, write_roc_csv, write_roc_svg
 from .model import ModelParams, infer, parse_model_config
@@ -76,9 +75,7 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     params, _ = open_checkpoint(args.ckpt)
-    img = load_pgm(args.image)
-    x = Tensor(np.repeat(img[None, None], 3, axis=1))
-    prob = infer(params, x)
+    prob = infer(params, Tensor(_model_input(load_pgm(args.image))))
     save_tensor(args.out, prob.data)
     pgm_path = args.out + ".pgm"
     save_pgm(pgm_path, prob.data[0, 0])

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import INPUT_CHANNELS
 from .prng import Prng
 from .tensor import Tensor
 
@@ -137,6 +138,12 @@ def _render_background(spec: SceneSpec, rng: Prng) -> np.ndarray:
     return 0.5 * proj
 
 
+def _model_input(image: np.ndarray) -> np.ndarray:
+    """[H, W] grey frame -> the model's [1, INPUT_CHANNELS, H, W] input, the
+    frame repeated on every channel."""
+    return np.repeat(image[None, None], INPUT_CHANNELS, axis=1)
+
+
 def gen_scene(spec: SceneSpec) -> Sample:
     """Render one scene; a pure function of the spec (seed included).
 
@@ -158,8 +165,7 @@ def gen_scene(spec: SceneSpec) -> Sample:
     if spec.noise_std > 0:
         field += rng.normal((h, w), std=spec.noise_std).astype(np.float64)
 
-    image = np.clip(field, 0.0, 1.0).astype(np.float32)
-    image = np.repeat(image[None, None], 3, axis=1)
+    image = _model_input(np.clip(field, 0.0, 1.0).astype(np.float32))
     mask_t = Tensor(mask.astype(np.float32)[None, None])
     return Sample(image=Tensor(image), mask=mask_t, spec=spec)
 
@@ -343,7 +349,7 @@ def load_dataset(dir_path) -> list:
         mask = load_pgm(os.path.join(dir_path, stems[stem]["mask"]))
         if img.shape != mask.shape:
             raise ValueError(f"{stem}: image {img.shape} and mask {mask.shape} differ")
-        image = np.repeat(img[None, None], 3, axis=1)
+        image = _model_input(img)
         binary = (mask >= 128.0 / 255.0).astype(np.float32)[None, None]
         samples.append(Sample(image=Tensor(image), mask=Tensor(binary), name=stem))
     return samples

@@ -16,7 +16,6 @@ in float32.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "Tensor", "Tape", "backward", "zero_grads",
@@ -28,6 +27,10 @@ __all__ = [
 ]
 
 _next_id = 0
+
+# Byte budget of one conv window chunk: half of a 2 MiB per-core L2, so the
+# GEMM reads its copied window from cache, not from DRAM.
+_WINDOW_BYTES = 1 << 20
 
 
 def _new_id() -> int:
@@ -185,17 +188,39 @@ def _conv_out_size(n: int, k: int, stride: int, pad: int, dilation: int) -> int:
     return span // stride + 1
 
 
-def _windows(flat: np.ndarray, kh: int, kw: int, dilation: int, row: int,
+def _windows(flat: np.ndarray, start: int, kh: int, kw: int, dilation: int, row: int,
              span: int) -> np.ndarray:
     """[N, C, L] -> [N, C*kh*kw, span]: for dense position q, kernel tap (i, j)
-    reads flat[..., q + (i*row + j)*dilation], so every tap is a contiguous
-    slice and the window a strided view; its reshape is the one copy (none
-    for a 1x1 kernel). L must be at least span + ((kh-1)*row + kw-1)*dilation."""
+    reads flat[..., start + q + (i*row + j)*dilation], so every tap is a
+    contiguous slice and the window a strided view over the C-contiguous
+    `flat`; its reshape is the one copy (none for a 1x1 kernel). L must be at
+    least start + span + ((kh-1)*row + kw-1)*dilation."""
     n, c, _ = flat.shape
     sn, sc, s = flat.strides
-    win = as_strided(flat, (n, c, kh, kw, span), (sn, sc, dilation * row * s, dilation * s, s),
-                     writeable=False)
+    win = np.ndarray((n, c, kh, kw, span), flat.dtype, flat, start * s,
+                     (sn, sc, dilation * row * s, dilation * s, s))
     return win.reshape(n, c * kh * kw, span)
+
+
+def _window_chunks(flat: np.ndarray, start: int, kh: int, kw: int, dilation: int, row: int,
+                   span: int):
+    """Yield (lo, hi, window columns lo:hi) of the `_windows` of `flat`, in
+    chunks whose copies stay under _WINDOW_BYTES; a window that fits is one
+    chunk."""
+    n, c, _ = flat.shape
+    cols = max(1, _WINDOW_BYTES // (n * c * kh * kw * flat.itemsize))
+    for lo in range(0, span, cols):
+        hi = min(lo + cols, span)
+        yield lo, hi, _windows(flat, start + lo, kh, kw, dilation, row, hi - lo)
+
+
+def _window_gemm(lhs: np.ndarray, flat: np.ndarray, start: int, kh: int, kw: int,
+                 dilation: int, row: int, span: int) -> np.ndarray:
+    """lhs [M, C*kh*kw] @ the window of `flat` -> [N, M, span], chunk by chunk."""
+    out = np.empty((flat.shape[0], lhs.shape[0], span), dtype=flat.dtype)
+    for lo, hi, win in _window_chunks(flat, start, kh, kw, dilation, row, span):
+        np.matmul(lhs, win, out=out[..., lo:hi])
+    return out
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0,
@@ -235,7 +260,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         return flat
 
     wmat = w.data.reshape(cout, cin * kh * kw)
-    dense = np.matmul(wmat, _windows(padded(), kh, kw, dilation, wp, span))
+    dense = _window_gemm(wmat, padded(), 0, kh, kw, dilation, wp, span)
     # a C-contiguous [N, Cout, H', W'] result, so the ops after it run unstrided
     out_data = dense.reshape(n, cout, hd, wp)[..., ::stride, :wdense:stride]
     if b is None:
@@ -250,14 +275,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         gdense = gpad[..., maxoff: maxoff + span]
         gdense.reshape(n, cout, hd, wp)[..., ::stride, :wdense:stride] = g
         if w.requires_grad:
-            gw = np.matmul(gdense,
-                           _windows(padded(), kh, kw, dilation, wp, span).transpose(0, 2, 1))
-            w.accum_grad(gw.sum(axis=0).reshape(cout, cin, kh, kw))
+            for lo, hi, win in _window_chunks(padded(), 0, kh, kw, dilation, wp, span):
+                gw = np.matmul(gdense[..., lo:hi], win.transpose(0, 2, 1))
+                w.accum_grad(gw.sum(axis=0).reshape(cout, cin, kh, kw))
         if b is not None and b.requires_grad:
             b.accum_grad(g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * kh * kw)
-            gx = np.matmul(wflip, _windows(gpad[..., pad * wp:], kh, kw, dilation, wp, h * wp))
+            gx = _window_gemm(wflip, gpad, pad * wp, kh, kw, dilation, wp, h * wp)
             x.accum_grad(gx.reshape(n, cin, h, wp)[..., pad: pad + wd])
     return _make_out(out_data, "conv2d", parents, grad_fn)
 
@@ -287,13 +312,14 @@ def _interp_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
     """Row-stochastic bilinear weights with half-pixel centers (no corner
     alignment): source coordinate = (dst + 0.5) * n_in/n_out - 0.5, clamped."""
     dst = np.arange(n_out, dtype=np.float64)
-    src = np.clip((dst + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
+    src = np.minimum(np.maximum((dst + 0.5) * (n_in / n_out) - 0.5, 0.0), n_in - 1.0)
     i0 = np.floor(src).astype(np.int64)
     frac = src - i0
     i1 = np.minimum(i0 + 1, n_in - 1)
     m = np.zeros((n_out, n_in), dtype=np.float64)
-    np.add.at(m, (np.arange(n_out), i0), 1.0 - frac)
-    np.add.at(m, (np.arange(n_out), i1), frac)
+    rows = np.arange(n_out)
+    m[rows, i0] = 1.0 - frac
+    m[rows, i1] += frac  # i1 == i0 only where src is clamped, and there frac is 0
     return m.astype(dtype)
 
 
@@ -326,41 +352,43 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
     Running buffers are plain state, not graph nodes.
     """
     _require_rank(x, 4, "batch_norm input")
-    c = x.data.shape[1]
+    n, c, h, wd = x.data.shape
     for t, name in ((gamma, "gamma"), (beta, "beta"),
                     (running_mean, "running_mean"), (running_var, "running_var")):
         if t.data.shape != (c,):
             raise ValueError(f"batch_norm {name} shape {t.data.shape} != ({c},)")
     _check_dtypes(x, gamma, beta)
 
+    # np.add.reduce(...) / m is ndarray.mean's value without its Python
+    # wrapper; m stays a Python int so float32 is not promoted
     if training:
-        m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
-        mu = x.data.mean(axis=(0, 2, 3))
-        xc = x.data - mu[None, :, None, None]
-        var = (xc * xc).mean(axis=(0, 2, 3))  # np.var's value, without its own x - mu
+        m = n * h * wd
+        mu = np.add.reduce(x.data, axis=(0, 2, 3)) / m
+        xc = x.data - mu.reshape(1, c, 1, 1)
+        var = np.add.reduce(xc * xc, axis=(0, 2, 3)) / m  # np.var's value, without its own x - mu
         running_mean.data[:] = 0.9 * running_mean.data + 0.1 * mu
         running_var.data[:] = 0.9 * running_var.data + 0.1 * var
     else:
-        xc = x.data - running_mean.data.astype(x.data.dtype)[None, :, None, None]
+        xc = x.data - running_mean.data.astype(x.data.dtype).reshape(1, c, 1, 1)
         var = running_var.data.astype(x.data.dtype)
-    inv_std = 1.0 / np.sqrt(var + 1e-5)
-    xhat = xc * inv_std[None, :, None, None]
-    out_data = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    inv_std = (1.0 / np.sqrt(var + 1e-5)).reshape(1, c, 1, 1)
+    xhat = xc * inv_std
+    gamma4 = gamma.data.reshape(1, c, 1, 1)
+    out_data = gamma4 * xhat + beta.data.reshape(1, c, 1, 1)
 
     def grad_fn(g):
         if gamma.requires_grad:
-            gamma.accum_grad((g * xhat).sum(axis=(0, 2, 3)))
+            gamma.accum_grad(np.add.reduce(g * xhat, axis=(0, 2, 3)))
         if beta.requires_grad:
-            beta.accum_grad(g.sum(axis=(0, 2, 3)))
+            beta.accum_grad(np.add.reduce(g, axis=(0, 2, 3)))
         if x.requires_grad:
-            dxhat = g * gamma.data[None, :, None, None]
+            dxhat = g * gamma4
             if training:
-                sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-                sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-                gx = (inv_std[None, :, None, None] / m) * (
-                    m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+                sum_dxhat = np.add.reduce(dxhat, axis=(0, 2, 3), keepdims=True)
+                sum_dxhat_xhat = np.add.reduce(dxhat * xhat, axis=(0, 2, 3), keepdims=True)
+                gx = (inv_std / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
             else:
-                gx = dxhat * inv_std[None, :, None, None]
+                gx = dxhat * inv_std
             x.accum_grad(gx)
     return _make_out(out_data, "batch_norm", (x, gamma, beta), grad_fn)
 

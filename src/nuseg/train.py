@@ -154,16 +154,21 @@ def train_loop(params: ModelParams, dataset: list, cfg: TrainConfig,
     Shuffling is per-epoch deterministic: epoch e uses the (e+1)-th raw
     output of a splitmix64 stream seeded with cfg.seed. A non-finite loss
     aborts immediately, naming the step. `max_steps` > 0 caps total steps;
-    `ckpt_every` > 0 also checkpoints after every that many epochs. The
-    directories of `ckpt_path` and `curve_path` are checked before step 0.
+    `ckpt_every` > 0 also checkpoints after every that many epochs. Before
+    step 0, `ckpt_path` and `curve_path` are checked to be no directory and to
+    lie in one that exists.
     """
     if not dataset:
         raise ValueError("training dataset is empty")
     for name, value in (("ckpt_every", ckpt_every), ("max_steps", max_steps)):
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
-    for path in (ckpt_path, curve_path):
-        folder = os.path.dirname(path) if path is not None else ""
+    for name, path in (("ckpt_path", ckpt_path), ("curve_path", curve_path)):
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise ValueError(f"{name} {os.fspath(path)!r} is a directory")
+        folder = os.path.dirname(path)
         if folder and not os.path.isdir(folder):
             raise ValueError(f"output directory {folder!r} does not exist")
     weights = cfg.loss_weights

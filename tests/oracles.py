@@ -138,6 +138,50 @@ def batchnorm_train_loops(x, gamma, beta, eps=1e-5):
     return out
 
 
+# Bit-level references: the plain ndarray expressions (.mean, .sum, np.clip,
+# np.add.at, [None, :, None, None] broadcasting) whose exact bits the package's
+# faster spellings must keep.
+
+
+def batchnorm_bits_reference(x, gamma, beta, running_mean, running_var, training, g):
+    """batch_norm's forward, running-buffer update and backward for output
+    gradient g: (out, running_mean, running_var, dx, dgamma, dbeta)."""
+    rm, rv = running_mean.copy(), running_var.copy()
+    if training:
+        m = x.shape[0] * x.shape[2] * x.shape[3]
+        mu = x.mean(axis=(0, 2, 3))
+        xc = x - mu[None, :, None, None]
+        var = (xc * xc).mean(axis=(0, 2, 3))
+        rm[:] = 0.9 * rm + 0.1 * mu
+        rv[:] = 0.9 * rv + 0.1 * var
+    else:
+        xc = x - rm.astype(x.dtype)[None, :, None, None]
+        var = rv.astype(x.dtype)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
+    xhat = xc * inv_std[None, :, None, None]
+    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    dxhat = g * gamma[None, :, None, None]
+    if training:
+        sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
+        sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+        dx = (inv_std[None, :, None, None] / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+    else:
+        dx = dxhat * inv_std[None, :, None, None]
+    return out, rm, rv, dx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+
+
+def interp_matrix_bits_reference(n_in, n_out, dtype):
+    dst = np.arange(n_out, dtype=np.float64)
+    src = np.clip((dst + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
+    i0 = np.floor(src).astype(np.int64)
+    frac = src - i0
+    i1 = np.minimum(i0 + 1, n_in - 1)
+    m = np.zeros((n_out, n_in), dtype=np.float64)
+    np.add.at(m, (np.arange(n_out), i0), 1.0 - frac)
+    np.add.at(m, (np.arange(n_out), i1), frac)
+    return m.astype(dtype)
+
+
 def sigmoid_f64(z):
     return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=np.float64)))
 

@@ -11,7 +11,7 @@ import pytest
 from nuseg import io as tio
 from nuseg.cli import main
 from nuseg.data import load_dataset, load_pgm
-from nuseg.model import ModelParams, parse_model_config
+from nuseg.model import ModelParams, infer, parse_model_config
 from nuseg.prng import Prng
 from nuseg.train import evaluate_dataset, open_checkpoint
 
@@ -123,6 +123,15 @@ class TestTrain:
         assert f"error: output directory '{tmp_path / 'nodir'}'" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_output_path_that_is_a_directory_writes_nothing(self, workdir, tmp_path, capsys):
+        folder = tmp_path / "m.ckpt"
+        folder.mkdir()
+        code = main(["train", "--data", str(workdir["data"]), "--out", str(folder)])
+        assert code == 1
+        assert f"error: ckpt_path '{folder}' is a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [folder]
+        assert list(folder.iterdir()) == []
+
     def test_summary_reports_steps_and_loss(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "t.cfg"
         cfg.write_text("epochs = 1\nbatch_size = 4\nseed = 2\n")
@@ -157,6 +166,17 @@ class TestInfer:
                          "--image", str(workdir["data"] / "sample_0001.img.pgm"),
                          "--out", str(out)]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_probabilities_equal_the_library_on_the_loaded_image(self, workdir, tmp_path,
+                                                                  capsys):
+        out = tmp_path / "p.uiut"
+        assert main(["infer", "--ckpt", str(workdir["ckpt"]),
+                     "--image", str(workdir["data"] / "sample_0002.img.pgm"),
+                     "--out", str(out)]) == 0
+        params, _ = open_checkpoint(workdir["ckpt"])
+        sample = load_dataset(workdir["data"])[2]
+        assert sample.name == "sample_0002"
+        assert tio.load_tensor(out).tobytes() == infer(params, sample.image).data.tobytes()
 
     def test_missing_checkpoint_is_runtime_error(self, workdir, tmp_path, capsys):
         code = main(["infer", "--ckpt", str(tmp_path / "ghost.ckpt"),

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nuseg import tensor
 from nuseg.prng import Prng
 from nuseg.tensor import (Tape, Tensor, activation, add, backward, batch_norm,
                           bce_loss, channel_pool, concat_channels, conv2d,
@@ -19,8 +20,9 @@ from nuseg.tensor import (Tape, Tensor, activation, add, backward, batch_norm,
                           mul_broadcast, relu, scale, sigmoid, sum_all,
                           upsample_bilinear, zero_grads)
 
-from oracles import (batchnorm_train_loops, bce_f64, bilinear_loops,
-                     conv2d_loops, linear_loops, maxpool_grad_loops, maxpool_loops)
+from oracles import (batchnorm_bits_reference, batchnorm_train_loops, bce_f64,
+                     bilinear_loops, conv2d_loops, interp_matrix_bits_reference,
+                     linear_loops, maxpool_grad_loops, maxpool_loops)
 
 
 def rand(prng, *shape):
@@ -150,6 +152,30 @@ class TestTensorBasics:
         assert [r.inputs for r in tape.ops] == [(x, w), (v, m)]
 
 
+# (x shape, k, stride, pad, dilation, dtype, transposed input)
+CONV_LAYOUTS = [
+    ((1, 2, 9, 13), 3, 2, 0, 2, np.float32, False),
+    ((3, 2, 6, 5), 3, 1, 1, 1, np.float32, False),
+    ((2, 3, 7, 6), 3, 1, 2, 2, np.float64, False),
+    ((2, 2, 8, 5), 3, 1, 1, 1, np.float32, True),
+    ((2, 3, 5, 4), 1, 1, 1, 1, np.float32, False),
+]
+CONV_LAYOUT_IDS = ["nonsquare_pad0_dil2_stride2", "batch3", "float64", "transposed_view",
+                   "1x1_pad1"]
+
+
+def conv_layout_inputs(case):
+    shape, k, _, _, _, dtype, transposed = case
+    prng = Prng(22)
+    x = prng.normal(shape).astype(dtype)
+    if transposed:
+        x = np.ascontiguousarray(x.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+        assert not x.flags.c_contiguous
+    w = prng.normal((4, shape[1], k, k)).astype(dtype)
+    b = prng.normal((4,)).astype(dtype)
+    return x, w, b
+
+
 class TestConv2d:
     def test_hand_case_4x4_ones_kernel(self):
         """3x3 all-ones kernel, pad 1 on the 1..16 ramp: corner sums 1+2+5+6."""
@@ -181,28 +207,57 @@ class TestConv2d:
                               stride=stride, pad=pad, dilation=dil).data
                 np.testing.assert_array_equal(got, zero)
 
-    @pytest.mark.parametrize("case", [
-        # (x shape, k, stride, pad, dilation, dtype, transposed input)
-        ((1, 2, 9, 13), 3, 2, 0, 2, np.float32, False),
-        ((3, 2, 6, 5), 3, 1, 1, 1, np.float32, False),
-        ((2, 3, 7, 6), 3, 1, 2, 2, np.float64, False),
-        ((2, 2, 8, 5), 3, 1, 1, 1, np.float32, True),
-        ((2, 3, 5, 4), 1, 1, 1, 1, np.float32, False),
-    ], ids=["nonsquare_pad0_dil2_stride2", "batch3", "float64", "transposed_view",
-            "1x1_pad1"])
+    @pytest.mark.parametrize("case", CONV_LAYOUTS, ids=CONV_LAYOUT_IDS)
     def test_matches_loop_oracle_layouts(self, case):
-        shape, k, stride, pad, dil, dtype, transposed = case
-        prng = Prng(22)
-        x = prng.normal(shape).astype(dtype)
-        if transposed:
-            x = np.ascontiguousarray(x.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
-            assert not x.flags.c_contiguous
-        w = prng.normal((4, shape[1], k, k)).astype(dtype)
-        b = prng.normal((4,)).astype(dtype)
+        _, _, stride, pad, dil, dtype, _ = case
+        x, w, b = conv_layout_inputs(case)
         got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad, dilation=dil).data
         want = conv2d_loops(x, w, b, stride=stride, pad=pad, dilation=dil)
         assert got.dtype == dtype
         np.testing.assert_allclose(got, want, rtol=2e-5, atol=2e-5)
+
+    # budgets, in bytes, at which every window GEMM of the case ends on a partial chunk
+    @pytest.mark.parametrize("case, budget", list(zip(CONV_LAYOUTS, (900, 1728, 1728, 900, 900))),
+                             ids=CONV_LAYOUT_IDS)
+    def test_window_column_chunks(self, case, budget, monkeypatch):
+        """A window budget of a kilobyte or two splits each of the three
+        window GEMMs (forward, dW, dX) into several column chunks, the last
+        one partial: the output still matches the loop oracle, the gradients
+        pass grad_check, and all four agree with the one-chunk run."""
+        _, _, stride, pad, dil, dtype, _ = case
+        x, w, b = conv_layout_inputs(case)
+
+        def conv(x_, w_, b_):
+            return conv2d(x_, w_, b_, stride=stride, pad=pad, dilation=dil)
+
+        def run():
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+            out = conv(*leaves)
+            backward(weighted_sum(out, Prng(7)))
+            return [out.data] + [t.grad for t in leaves]
+
+        whole = run()
+        widths = []
+        chunks = tensor._window_chunks
+
+        def spy(*args):
+            got = list(chunks(*args))
+            widths.append([hi - lo for lo, hi, _ in got])
+            return iter(got)
+
+        monkeypatch.setattr(tensor, "_WINDOW_BYTES", budget)
+        monkeypatch.setattr(tensor, "_window_chunks", spy)
+        split = run()
+        assert len(widths) == 3  # forward, dW, dX
+        for cols in widths:
+            assert len(cols) > 1 and cols[-1] < cols[0]
+        np.testing.assert_allclose(split[0], conv2d_loops(x, w, b, stride=stride, pad=pad,
+                                                          dilation=dil), rtol=2e-5, atol=2e-5)
+        for got, want in zip(split, whole):
+            assert got.dtype == want.dtype == dtype
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+        assert grad_check(lambda *ls: weighted_sum(conv(*ls), Prng(7)), leaves) < 1e-3
 
     def test_output_is_c_contiguous(self):
         prng = Prng(23)
@@ -372,6 +427,13 @@ class TestUpsampleBilinear:
         got = upsample_bilinear(Tensor(x), 7, 8).data
         np.testing.assert_allclose(got, bilinear_loops(x, 7, 8), rtol=1e-5, atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_in, n_out", [(1, 4), (3, 7), (5, 5)])
+    def test_interp_matrix_bits_equal_the_add_at_reference(self, n_in, n_out, dtype):
+        got = tensor._interp_matrix(n_in, n_out, dtype)
+        want = interp_matrix_bits_reference(n_in, n_out, dtype)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_downsample_rejected(self):
         x = Tensor(np.ones((1, 1, 4, 4), dtype=np.float32))
         with pytest.raises(ValueError, match="smaller"):
@@ -456,6 +518,27 @@ class TestBatchNorm:
         np.testing.assert_allclose(out.data, want, rtol=1e-5)
         # and the buffers did not move
         np.testing.assert_array_equal(rm.data, [0.5, -0.5])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_bits_equal_the_mean_based_reference(self, dtype, training):
+        """Output, both running buffers and all three gradients keep the bits
+        of the ndarray.mean / .sum spelling, in both modes and dtypes."""
+        prng = Prng(66)
+        for shape in ((2, 3, 4, 4), (1, 5, 7, 3), (4, 2, 1, 1), (3, 4, 9, 11)):
+            c = shape[1]
+            x = (prng.normal(shape) * 3.0 + 1.0).astype(dtype)
+            gamma, beta, g = (prng.normal(s).astype(dtype) for s in ((c,), (c,), shape))
+            rm0 = prng.normal((c,))
+            rv0 = prng.uniform_array(c) + np.float32(0.5)
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
+            rm, rv = Tensor(rm0.copy()), Tensor(rv0.copy())
+            out = batch_norm(*leaves, rm, rv, training=training)
+            out._backward(g)
+            got = [out.data, rm.data, rv.data] + [t.grad for t in leaves]
+            want = batchnorm_bits_reference(x, gamma, beta, rm0, rv0, training, g)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_grad_training_mode(self):
         prng = Prng(65)

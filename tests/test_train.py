@@ -292,6 +292,19 @@ class TestTrainLoop:
             train_loop(params, dataset, cfg, **{arg: missing / "out.file"})
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("arg", ["ckpt_path", "curve_path"])
+    def test_output_path_that_is_a_directory_rejected_before_step_0(self, tmp_path,
+                                                                    monkeypatch, arg):
+        params, dataset, cfg = tiny_setup(seed=8, epochs=1, batch_size=2)
+        monkeypatch.setattr("nuseg.train.forward",
+                            lambda *args, **kwargs: pytest.fail("a training step ran"))
+        folder = tmp_path / "m.ckpt"
+        folder.mkdir()
+        with pytest.raises(ValueError, match=re.escape(f"{arg} '{folder}' is a directory")):
+            train_loop(params, dataset, cfg, **{arg: folder})
+        assert list(tmp_path.iterdir()) == [folder]
+        assert list(folder.iterdir()) == []
+
     def test_empty_dataset_rejected(self):
         params = ModelParams(ModelConfig(preset="tiny"), Prng(11))
         with pytest.raises(ValueError, match="empty"):
