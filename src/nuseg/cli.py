@@ -13,7 +13,7 @@ import sys
 
 from .data import (DatasetTemplate, _model_input, gen_dataset, load_dataset, load_pgm,
                    save_pgm)
-from .io import save_tensor
+from .io import _check_output_paths, save_tensor
 from .metrics import write_report_csv, write_roc_csv, write_roc_svg
 from .model import ModelParams, infer, parse_model_config
 from .prng import Prng
@@ -74,10 +74,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    pgm_path = args.out + ".pgm"
+    _check_output_paths(out=args.out, pgm=pgm_path)
     params, _ = open_checkpoint(args.ckpt)
     prob = infer(params, Tensor(_model_input(load_pgm(args.image))))
     save_tensor(args.out, prob.data)
-    pgm_path = args.out + ".pgm"
     save_pgm(pgm_path, prob.data[0, 0])
     print(f"out={args.out}")
     print(f"pgm={pgm_path}")
@@ -87,6 +88,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_output_paths(out=args.out)
     params, _ = open_checkpoint(args.ckpt)
     dataset = load_dataset(args.data)
     result = evaluate_dataset(params, dataset, args.thr)
@@ -101,6 +103,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_roc(args) -> int:
+    _check_output_paths(out=args.out, svg=args.svg)
     params, _ = open_checkpoint(args.ckpt)
     dataset = load_dataset(args.data)
     curve = evaluate_dataset(params, dataset, n_thresholds=_roc_thresholds(args.n_thr),
@@ -117,6 +120,9 @@ def cmd_roc(args) -> int:
 
 
 def cmd_report(args) -> int:
+    # made only after the evaluation, so that a failed run leaves no directory
+    if os.path.exists(args.out_dir) and not os.path.isdir(args.out_dir):
+        raise ValueError(f"out_dir {args.out_dir!r} is not a directory")
     params, _ = open_checkpoint(args.ckpt)
     dataset = load_dataset(args.data)
     report = evaluate_dataset(params, dataset, args.thr,

@@ -72,6 +72,19 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     return arr.astype(np.float32, copy=True), pos + nbytes
 
 
+def _check_output_paths(**paths) -> None:
+    """Refuse a named output path that is a directory or whose directory is
+    missing, before any work is done. A None path is skipped."""
+    for name, path in paths.items():
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise ValueError(f"{name} {os.fspath(path)!r} is a directory")
+        folder = os.path.dirname(path)
+        if folder and not os.path.isdir(folder):
+            raise ValueError(f"output directory {folder!r} does not exist")
+
+
 def save_tensor(path, arr: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(tensor_to_bytes(arr))
@@ -119,14 +132,17 @@ def load_entries(path) -> dict:
         raise ValueError(f"unsupported container format version {version}")
     pos = 9
     entries = {}
-    for _ in range(count):
+    for index in range(count):
         if len(buf) - pos < 2:
             raise ValueError("truncated container: entry name length missing")
         (name_len,) = struct.unpack_from("<H", buf, pos)
         pos += 2
         if len(buf) - pos < name_len:
             raise ValueError("truncated container: entry name incomplete")
-        name = buf[pos: pos + name_len].decode("utf-8")
+        try:
+            name = buf[pos: pos + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"container entry {index}: name is not UTF-8") from None
         pos += name_len
         arr, pos = tensor_from_bytes(buf, pos)
         if name in entries:

@@ -113,6 +113,11 @@ def niou(preds, gts, empty_value: float = 1.0) -> float:
     return float(np.mean([per_sample_iou(p, g, empty_value) for p, g in zip(preds, gts)]))
 
 
+def _check_fpr_mode(fpr_mode: str) -> None:
+    if fpr_mode not in FPR_MODES:
+        raise ValueError(f"fpr_mode must be one of {FPR_MODES}, got {fpr_mode!r}")
+
+
 def roc(scores, gts, n_thresholds: int, fpr_mode: str = "standard") -> RocCurve:
     """Sweep thresholds (n evenly spaced in [0,1], plus 0 and 1, descending).
 
@@ -122,41 +127,29 @@ def roc(scores, gts, n_thresholds: int, fpr_mode: str = "standard") -> RocCurve:
     denominator of zero yields rate 0. No positive ground-truth pixel in the
     whole dataset is a hard error (TPR undefined everywhere).
     """
-    if fpr_mode not in FPR_MODES:
-        raise ValueError(f"fpr_mode must be one of {FPR_MODES}, got {fpr_mode!r}")
+    _check_fpr_mode(fpr_mode)
     if n_thresholds < 1:
         raise ValueError(f"n_thresholds must be >= 1, got {n_thresholds}")
     _check_pairs(scores, gts)
     flat_scores = np.concatenate([np.asarray(s, dtype=np.float64).reshape(-1) for s in scores])
     flat_gt = np.concatenate([np.asarray(g).reshape(-1).astype(bool) for g in gts])
-    positives = int(np.count_nonzero(flat_gt))
-    if positives == 0:
+    pos, neg = np.sort(flat_scores[flat_gt]), np.sort(flat_scores[~flat_gt])
+    if pos.size == 0:
         raise ValueError("no positive ground-truth pixels anywhere: TPR undefined")
-    negatives = flat_gt.size - positives
 
     thresholds = np.unique(np.concatenate([np.linspace(0.0, 1.0, n_thresholds),
                                            [0.0, 1.0]]))[::-1]
-    tpr = np.empty(thresholds.size)
-    fpr_std = np.empty(thresholds.size)
-    fpr_lit = np.empty(thresholds.size)
-    for i, thr in enumerate(thresholds):
-        pred = flat_scores >= thr
-        tp = int(np.count_nonzero(pred & flat_gt))
-        fp = int(np.count_nonzero(pred & ~flat_gt))
-        tpr[i] = tp / positives
-        fpr_std[i] = fp / negatives if negatives else 0.0
-        predicted = tp + fp
-        fpr_lit[i] = fp / predicted if predicted else 0.0
-
-    order = np.lexsort((tpr, fpr_std))
-    xs, ys = fpr_std[order], tpr[order]
-    auc = float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)))
-    return RocCurve(thresholds=thresholds,
-                    fpr=fpr_std if fpr_mode == "standard" else fpr_lit,
-                    tpr=tpr, auc=auc, fpr_mode=fpr_mode)
-
-
-_NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, -1))
+    # NaN sorts last and is >= no threshold, so each count stops at the first NaN
+    tp = np.searchsorted(pos, np.nan) - np.searchsorted(pos, thresholds)
+    fp = np.searchsorted(neg, np.nan) - np.searchsorted(neg, thresholds)
+    tpr = tp / pos.size
+    fpr_std = fp / neg.size if neg.size else np.zeros(thresholds.size)
+    fpr = fpr_std
+    if fpr_mode == "paper_literal":
+        fpr = np.divide(fp, tp + fp, out=np.zeros(thresholds.size), where=tp + fp > 0)
+    # both rates rise as the threshold falls, so the points are already in fpr order
+    auc = float(np.sum(0.5 * (tpr[1:] + tpr[:-1]) * np.diff(fpr_std)))
+    return RocCurve(thresholds=thresholds, fpr=fpr, tpr=tpr, auc=auc, fpr_mode=fpr_mode)
 
 
 def connected_components(mask) -> tuple:
@@ -164,50 +157,34 @@ def connected_components(mask) -> tuple:
 
     Returns (M, objects) where objects is a list of M sets of (row, col)
     pixel coordinates, ordered by first-encountered pixel in scan order.
+
+    Min-label propagation: each foreground pixel starts as its own flat index
+    and takes the 3x3 minimum, then its label's label, until nothing changes.
+    Labels only fall and stay in their object, so each ends as its first pixel.
     """
     mask = np.asarray(mask)
     if mask.ndim != 2:
         mask = mask.reshape(mask.shape[-2], mask.shape[-1])
-    h, w = mask.shape
-    labels = np.zeros((h, w), dtype=np.int64)
-    parent = [0]  # union-find over provisional labels; 0 is background
+    fg = np.pad(mask.astype(bool), 1)
+    inner = fg[1:-1, 1:-1]
+    background = fg.size  # above every flat index
+    grid = np.where(fg, np.arange(fg.size).reshape(fg.shape), background)
+    flat = grid.reshape(-1)
+    pixels = np.flatnonzero(fg)  # scan order
+    labels = flat[pixels]
+    while True:
+        vert = np.minimum(np.minimum(grid[:-2], grid[1:-1]), grid[2:])
+        window = np.minimum(np.minimum(vert[:, :-2], vert[:, 1:-1]), vert[:, 2:])
+        grid[1:-1, 1:-1] = np.where(inner, window, background)
+        jumped = flat[flat[pixels]]
+        if np.array_equal(jumped, labels):
+            break
+        flat[pixels] = labels = jumped
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    nxt = 1
-    for r in range(h):
-        for c in range(w):
-            if not mask[r, c]:
-                continue
-            hits = []
-            for dr, dc in _NEIGHBORS:
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < h and 0 <= cc < w and labels[rr, cc]:
-                    hits.append(find(labels[rr, cc]))
-            if not hits:
-                labels[r, c] = nxt
-                parent.append(nxt)
-                nxt += 1
-            else:
-                root = min(hits)
-                labels[r, c] = root
-                for other in hits:
-                    parent[other] = root
-
-    objects = []
-    compact = {}
-    for r in range(h):
-        for c in range(w):
-            if labels[r, c]:
-                root = find(labels[r, c])
-                if root not in compact:
-                    compact[root] = len(objects)
-                    objects.append(set())
-                objects[compact[root]].add((r, c))
+    order = np.argsort(labels, kind="stable")
+    rows, cols = (a[order].tolist() for a in np.nonzero(inner))
+    ends = np.cumsum(np.unique(labels, return_counts=True)[1]).tolist()
+    objects = [set(zip(rows[a:b], cols[a:b])) for a, b in zip([0] + ends[:-1], ends)]
     return len(objects), objects
 
 
@@ -216,11 +193,18 @@ def _check_thr(thr: float, name: str = "thr") -> None:
         raise ValueError(f"{name} must be in [0,1], got {thr}")
 
 
+def _check_report_args(thr: float, n_thresholds: int, fpr_mode: str) -> None:
+    _check_thr(thr)
+    if n_thresholds < 0:
+        raise ValueError(f"n_thresholds must be >= 0, got {n_thresholds}")
+    _check_fpr_mode(fpr_mode)
+
+
 def compute_report(scores, gts, thr: float = 0.5, n_thresholds: int = 0,
                    fpr_mode: str = "standard") -> MetricsReport:
     """Evaluate score maps against masks at a fixed threshold, optionally
     attaching a ROC curve when n_thresholds > 0."""
-    _check_thr(thr)
+    _check_report_args(thr, n_thresholds, fpr_mode)
     _check_pairs(scores, gts)
     preds = [binarize(s, thr) for s in scores]
     per_sample = [per_sample_iou(p, g) for p, g in zip(preds, gts)]

@@ -10,13 +10,12 @@ save round-trip is byte-identical.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import io as tio
-from .metrics import _check_thr, binarize, compute_report, iou_dataset
+from .metrics import _check_report_args, _check_thr, binarize, compute_report, iou_dataset
 from .model import (ModelConfig, ModelParams, _config_lines, _parse_float, _parse_int,
                     forward, infer, parse_model_config, render_model_config)
 from .prng import Prng
@@ -163,14 +162,7 @@ def train_loop(params: ModelParams, dataset: list, cfg: TrainConfig,
     for name, value in (("ckpt_every", ckpt_every), ("max_steps", max_steps)):
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
-    for name, path in (("ckpt_path", ckpt_path), ("curve_path", curve_path)):
-        if path is None:
-            continue
-        if os.path.isdir(path):
-            raise ValueError(f"{name} {os.fspath(path)!r} is a directory")
-        folder = os.path.dirname(path)
-        if folder and not os.path.isdir(folder):
-            raise ValueError(f"output directory {folder!r} does not exist")
+    tio._check_output_paths(ckpt_path=ckpt_path, curve_path=curve_path)
     weights = cfg.loss_weights
     if weights is None:
         weights = [1.0] * (params.cfg.n_side + 1)
@@ -341,7 +333,7 @@ def evaluate_dataset(params: ModelParams, dataset: list, thr: float = 0.5,
     """
     if not dataset:
         raise ValueError("evaluation dataset is empty")
-    _check_thr(thr)  # before the inference, which is the costly part
+    _check_report_args(thr, n_thresholds, fpr_mode)  # before the costly inference
     scores = [infer(params, s.image).data[0, 0] for s in dataset]
     gts = [s.mask.data[0, 0] for s in dataset]
     report = compute_report(scores, gts, thr=thr, n_thresholds=n_thresholds,

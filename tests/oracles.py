@@ -316,8 +316,42 @@ def niou_loops(preds, gts, empty_value=1.0):
     return sum(vals) / len(vals)
 
 
+def roc_loops(scores, gts, n_thresholds, fpr_mode="standard"):
+    """The threshold sweep with one full-dataset mask per threshold.
+
+    Returns (thresholds, fpr, tpr, auc): thresholds descending, fpr in the
+    given mode's semantics, auc the trapezoid over the standard-mode points
+    sorted by fpr. A NaN score is >= no threshold.
+    """
+    flat_scores = np.concatenate([np.asarray(s, dtype=np.float64).reshape(-1) for s in scores])
+    flat_gt = np.concatenate([np.asarray(g).reshape(-1).astype(bool) for g in gts])
+    positives = int(np.count_nonzero(flat_gt))
+    negatives = flat_gt.size - positives
+    thresholds = np.unique(np.concatenate([np.linspace(0.0, 1.0, n_thresholds),
+                                           [0.0, 1.0]]))[::-1]
+    tpr = np.empty(thresholds.size)
+    fpr_std = np.empty(thresholds.size)
+    fpr_lit = np.empty(thresholds.size)
+    for i, thr in enumerate(thresholds):
+        pred = flat_scores >= thr
+        tp = int(np.count_nonzero(pred & flat_gt))
+        fp = int(np.count_nonzero(pred & ~flat_gt))
+        tpr[i] = tp / positives
+        fpr_std[i] = fp / negatives if negatives else 0.0
+        predicted = tp + fp
+        fpr_lit[i] = fp / predicted if predicted else 0.0
+    order = np.lexsort((tpr, fpr_std))
+    xs, ys = fpr_std[order], tpr[order]
+    auc = float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)))
+    return thresholds, (fpr_std if fpr_mode == "standard" else fpr_lit), tpr, auc
+
+
 def roc_point_sorted(scores, gts, thr):
-    """(tp, fp, positives, negatives) at one threshold via sorted arrays."""
+    """(tp, fp, positives, negatives) at one threshold via sorted arrays.
+
+    A NaN score sorts last and so counts as >= every threshold here: this is
+    no reference for NaN scores (`roc_loops` is).
+    """
     flat = np.concatenate([np.asarray(s, dtype=np.float64).reshape(-1) for s in scores])
     lab = np.concatenate([np.asarray(g).reshape(-1).astype(bool) for g in gts])
     pos = np.sort(flat[lab])

@@ -285,6 +285,41 @@ class TestSharedEvaluation:
         assert "n_thresholds must be >= 1" in capsys.readouterr().err
 
 
+class TestOutputPaths:
+    @pytest.mark.parametrize("command",
+                             ["infer", "infer-pgm", "eval", "roc", "roc-svg", "report"])
+    def test_unusable_output_path_is_refused_before_the_checkpoint(
+            self, workdir, tmp_path, capsys, monkeypatch, command):
+        """The command exits 1 naming the path and writes nothing, without
+        opening the checkpoint."""
+        monkeypatch.setattr("nuseg.cli.open_checkpoint",
+                            lambda *_: pytest.fail("the checkpoint was opened"))
+        folder = tmp_path / "taken.pgm"
+        folder.mkdir()
+        afile = tmp_path / "afile"
+        afile.write_text("x")
+        missing = tmp_path / "nodir"
+        no_dir = f"error: output directory '{missing}' does not exist"
+        base = ["--ckpt", str(workdir["ckpt"]), "--data", str(workdir["data"])]
+        infer = ["infer", "--ckpt", str(workdir["ckpt"]),
+                 "--image", str(workdir["data"] / "sample_0000.img.pgm"), "--out"]
+        argv, message = {
+            "infer": ([*infer, str(missing / "p.uiut")], no_dir),
+            "infer-pgm": ([*infer, str(tmp_path / "taken")],
+                          f"error: pgm '{folder}' is a directory"),
+            "eval": (["eval", *base, "--out", str(missing / "m.csv")], no_dir),
+            "roc": (["roc", *base, "--out", str(missing / "r.csv")], no_dir),
+            "roc-svg": (["roc", *base, "--out", str(tmp_path / "r.csv"), "--svg", str(folder)],
+                        f"error: svg '{folder}' is a directory"),
+            "report": (["report", *base, "--out-dir", str(afile)],
+                       f"error: out_dir '{afile}' is not a directory"),
+        }[command]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "taken.pgm"]
+        assert list(folder.iterdir()) == [] and afile.read_text() == "x"
+
+
 class TestParser:
     def test_help_exits_zero_and_lists_commands(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -150,6 +150,17 @@ class TestContainerFormat:
         with pytest.raises(ValueError, match="duplicate"):
             load_entries(path)
 
+    def test_non_utf8_name_names_the_entry(self, tmp_path):
+        path = tmp_path / "c.uiuc"
+        save_entries(path, {"a": np.zeros(1, dtype=np.float32),
+                            "b": np.zeros(1, dtype=np.float32)})
+        blob = bytearray(path.read_bytes())
+        second = blob.index(b"\x01\x00b")  # u16 name length 1, then the name
+        blob[second + 2] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="container entry 1: name is not UTF-8"):
+            load_entries(path)
+
     def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
         """The disk fills up part-way through a rewrite: the file already at
         the path keeps its bytes and no temporary file is left behind."""

@@ -18,7 +18,7 @@ from nuseg.metrics import (binarize, compute_report, confusion,
 from nuseg.prng import Prng
 
 from oracles import (confusion_loops, flood_fill_components,
-                     iou_dataset_loops, niou_loops, roc_point_sorted)
+                     iou_dataset_loops, niou_loops, roc_loops, roc_point_sorted)
 
 
 def random_pair(seed, size=16, p=0.3):
@@ -218,6 +218,34 @@ class TestRoc:
             assert tpr_val == tp / pos
             assert fpr_val == (fp / neg if neg else 0.0)
 
+    @pytest.mark.parametrize("case", ["uniform", "ties", "nan", "no_negatives", "constant"])
+    def test_matches_loop_oracle_bytes(self, case):
+        """Every array and the AUC's repr equal the per-threshold loop's, in
+        both modes, including NaN scores (>= no threshold), scores that sit
+        exactly on a threshold, and a dataset with no negative pixel."""
+        scores_list, gts_list = [], []
+        for i in range(3):
+            s, g = random_scores(100 + i, size=6 + i)
+            if case == "ties":
+                s = np.floor(s * 8.0) / 8.0  # every value is a threshold at n=9 and n=33
+            elif case == "nan":
+                s[Prng(110 + i).uniform_array(s.size).reshape(s.shape) < 0.2] = np.nan
+            elif case == "no_negatives":
+                g = np.ones_like(g)
+            elif case == "constant":
+                s = np.full(s.shape, 0.5)
+            scores_list.append(s)
+            gts_list.append(g)
+        for n in (1, 2, 9, 33, 200):
+            for mode in ("standard", "paper_literal"):
+                curve = roc(scores_list, gts_list, n_thresholds=n, fpr_mode=mode)
+                thresholds, fpr, tpr, auc = roc_loops(scores_list, gts_list, n, mode)
+                for got, want in ((curve.thresholds, thresholds), (curve.fpr, fpr),
+                                  (curve.tpr, tpr)):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+                assert repr(curve.auc) == repr(auc)
+
     def test_no_positives_anywhere_is_an_error(self):
         scores = np.full((3, 3), 0.5)
         gt = np.zeros((3, 3), dtype=np.uint8)
@@ -300,12 +328,26 @@ class TestConnectedComponents:
                            if mask[r, c]}
 
     def test_matches_flood_fill_on_random_masks(self):
-        for seed in range(8):
-            mask = (Prng(seed).uniform_array(256) < 0.4).astype(np.uint8).reshape(16, 16)
-            m1, objs1 = connected_components(mask)
-            m2, objs2 = flood_fill_components(mask)
-            assert m1 == m2
-            assert {frozenset(o) for o in objs1} == {frozenset(o) for o in objs2}
+        """Same count and the same objects in the same (scan) order, on rows,
+        columns and rectangles from sparse to nearly full."""
+        for shape in ((16, 16), (1, 23), (23, 1), (9, 17)):
+            for density in (0.1, 0.3, 0.5, 0.7, 0.9):
+                for seed in range(8):
+                    size = shape[0] * shape[1]
+                    mask = (Prng(seed).uniform_array(size) < density).astype(np.uint8)
+                    mask = mask.reshape(shape)
+                    assert connected_components(mask) == flood_fill_components(mask)
+
+    def test_serpentine_is_one_object(self):
+        """A single 8k-pixel path that doubles back on every other row: the
+        longest chain of labels to propagate through on a 128x128 mask."""
+        mask = np.zeros((128, 128), dtype=np.uint8)
+        mask[::2] = 1
+        mask[1::4, -1] = 1
+        mask[3::4, 0] = 1
+        m, objs = connected_components(mask)
+        assert m == 1 and len(objs[0]) == int(mask.sum())
+        assert (m, objs) == flood_fill_components(mask)
 
     def test_component_tp_partition_sums_to_whole_mask_tp(self):
         """Splitting the ground truth by object and counting hits per object
@@ -341,6 +383,15 @@ class TestReport:
         scores, gt = random_scores(95)
         with pytest.raises(ValueError, match="thr must be in"):
             compute_report([scores], [gt], thr=thr)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"n_thresholds": -4}, "n_thresholds must be >= 0, got -4"),
+        ({"fpr_mode": "bogus"}, "fpr_mode must be one of .* got 'bogus'"),
+    ], ids=["n_thresholds", "fpr_mode"])
+    def test_bad_roc_arguments_rejected(self, kwargs, message):
+        scores, gt = random_scores(97)
+        with pytest.raises(ValueError, match=message):
+            compute_report([scores], [gt], **kwargs)
 
     @pytest.mark.parametrize("thr", [0.0, 1.0])
     def test_threshold_endpoints_accepted(self, thr):

@@ -492,6 +492,18 @@ class TestEvaluationHarness:
         np.testing.assert_array_equal(got.roc.tpr, want.roc.tpr)
         assert evaluate_dataset(params, dataset)["report"].roc is None
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"n_thresholds": 5, "fpr_mode": "bogus"}, "fpr_mode must be one of .* got 'bogus'"),
+        ({"n_thresholds": -4}, "n_thresholds must be >= 0, got -4"),
+    ], ids=["fpr_mode", "n_thresholds"])
+    def test_bad_roc_arguments_rejected_before_inference(self, monkeypatch, kwargs, message):
+        params, dataset, cfg = tiny_setup(seed=25)
+        calls = []
+        monkeypatch.setattr("nuseg.train.infer", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=message):
+            evaluate_dataset(params, dataset, **kwargs)
+        assert calls == []
+
     def test_evaluate_empty_dataset_rejected(self):
         params = ModelParams(ModelConfig(preset="tiny"), Prng(22))
         with pytest.raises(ValueError, match="empty"):
