@@ -119,10 +119,24 @@ def cmd_roc(args) -> int:
     return 0
 
 
+def _check_out_dir(path) -> None:
+    """Refuse a directory that os.makedirs could not make: the nearest of
+    `path` and its ancestors that exists must be a directory."""
+    existing = os.path.normpath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+        if not existing:
+            return  # a relative path below the working directory
+    if os.path.isdir(existing):
+        return
+    if existing == os.path.normpath(path):
+        raise ValueError(f"out_dir {path!r} is not a directory")
+    raise ValueError(f"out_dir {path!r} cannot be made: {existing!r} is not a directory")
+
+
 def cmd_report(args) -> int:
     # made only after the evaluation, so that a failed run leaves no directory
-    if os.path.exists(args.out_dir) and not os.path.isdir(args.out_dir):
-        raise ValueError(f"out_dir {args.out_dir!r} is not a directory")
+    _check_out_dir(args.out_dir)
     params, _ = open_checkpoint(args.ckpt)
     dataset = load_dataset(args.data)
     report = evaluate_dataset(params, dataset, args.thr,

@@ -13,6 +13,7 @@ gradient checker run an entire graph in float64 while normal execution stays
 in float32.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +132,63 @@ def _make_out(data: np.ndarray, name: str, parents: tuple, grad_fn) -> Tensor:
     return out
 
 
+class _Replay:
+    """`grad_check`'s change propagation (Acar, Self-Adjusting Computation,
+    2005). The analytic evaluation records every op call; in a perturbed
+    evaluation, the i-th op call returns the i-th record's output when it is
+    the same function on the same arguments (tensors by identity) and the
+    perturbed leaf is not among them. Any other call runs, and its new output
+    makes every consumer of it run too. The records keep their arguments
+    alive, so no identity is recycled."""
+
+    _active = None  # the replay `grad_check` is running, or None
+
+    def __init__(self):
+        self.records = []  # (fn, args, kwargs, ids of the tensor args, out)
+        self.leaf = None  # the perturbed leaf; None while recording
+        self.pos = 0
+
+    def call(self, fn, args, kwargs):
+        if self.leaf is None:
+            out = fn(*args, **kwargs)
+            # lists copied, so a caller that refills one cannot fake a match
+            args = tuple(list(a) if isinstance(a, list) else a for a in args)
+            kwargs = {k: list(v) if isinstance(v, list) else v for k, v in kwargs.items()}
+            ids = tuple(id(t) for a in (*args, *kwargs.values())
+                        for t in (a if isinstance(a, list) else (a,)) if isinstance(t, Tensor))
+            self.records.append((fn, args, kwargs, ids, out))
+            return out
+        i, self.pos = self.pos, self.pos + 1
+        if i < len(self.records):
+            rfn, rargs, rkwargs, ids, out = self.records[i]
+            if rfn is fn and args == rargs and kwargs == rkwargs and id(self.leaf) not in ids:
+                return out
+        return fn(*args, **kwargs)
+
+    def detach(self) -> None:
+        """Cut every recorded output out of the analytic graph, so a replayed
+        one makes no consumer build a graph node."""
+        for *_, out in self.records:
+            out.requires_grad = False
+            out._parents = ()
+            out._backward = None
+            out.grad = None
+
+    def evaluate(self, build_fn, leaves) -> float:
+        self.pos = 0
+        return float(build_fn(*leaves).data)
+
+
+def _replayable(fn):
+    """Route a primitive op through the active `_Replay`, if any."""
+    @functools.wraps(fn)
+    def op(*args, **kwargs):
+        if _Replay._active is None:
+            return fn(*args, **kwargs)
+        return _Replay._active.call(fn, args, kwargs)
+    return op
+
+
 def _check_dtypes(*ts: Tensor) -> np.dtype:
     dt = ts[0].data.dtype
     for t in ts[1:]:
@@ -223,6 +281,7 @@ def _window_gemm(lhs: np.ndarray, flat: np.ndarray, start: int, kh: int, kw: int
     return out
 
 
+@_replayable
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0,
            dilation: int = 1) -> Tensor:
     """Cross-correlation with zero padding: [N,Cin,H,W] -> [N,Cout,H',W'].
@@ -287,6 +346,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     return _make_out(out_data, "conv2d", parents, grad_fn)
 
 
+@_replayable
 def max_pool2d(x: Tensor) -> Tensor:
     """2x2 max-pool at stride 2 over the four taps x[..., i::2, j::2]; ties
     resolve to the first tap in row-major order, which alone gets the grad."""
@@ -308,9 +368,11 @@ def max_pool2d(x: Tensor) -> Tensor:
     return _make_out(out_data, "max_pool2d", (x,), grad_fn)
 
 
+@functools.lru_cache(maxsize=64)
 def _interp_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
     """Row-stochastic bilinear weights with half-pixel centers (no corner
-    alignment): source coordinate = (dst + 0.5) * n_in/n_out - 0.5, clamped."""
+    alignment): source coordinate = (dst + 0.5) * n_in/n_out - 0.5, clamped.
+    Cached, so the matrix is shared and read-only."""
     dst = np.arange(n_out, dtype=np.float64)
     src = np.minimum(np.maximum((dst + 0.5) * (n_in / n_out) - 0.5, 0.0), n_in - 1.0)
     i0 = np.floor(src).astype(np.int64)
@@ -320,9 +382,12 @@ def _interp_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
     rows = np.arange(n_out)
     m[rows, i0] = 1.0 - frac
     m[rows, i1] += frac  # i1 == i0 only where src is clamped, and there frac is 0
-    return m.astype(dtype)
+    m = m.astype(dtype)
+    m.flags.writeable = False
+    return m
 
 
+@_replayable
 def upsample_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Bilinear resize to (out_h, out_w) >= input size; equal size is identity."""
     _require_rank(x, 4, "upsample input")
@@ -342,6 +407,7 @@ def upsample_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
 # normalization / activations
 
 
+@_replayable
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
                running_var: Tensor, training: bool = True) -> Tensor:
     """Per-channel batch normalization over the N,H,W axes, with eps 1e-5.
@@ -400,6 +466,7 @@ def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+@_replayable
 def activation(x: Tensor, kind: str) -> Tensor:
     """Elementwise relu or sigmoid; relu' at exactly 0 is defined as 0."""
     if kind == "relu":
@@ -427,6 +494,7 @@ def sigmoid(x: Tensor) -> Tensor:
 # pooling over channels / broadcasting / concatenation
 
 
+@_replayable
 def global_avg_pool(x: Tensor) -> Tensor:
     """[N,C,H,W] -> [N,C,1,1] spatial mean per channel."""
     _require_rank(x, 4, "global_avg_pool input")
@@ -437,6 +505,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return _make_out(x.data.mean(axis=(2, 3), keepdims=True), "global_avg_pool", (x,), grad_fn)
 
 
+@_replayable
 def channel_pool(x: Tensor, mode: str) -> Tensor:
     """Reduce the channel axis per spatial location: [N,C,H,W] -> [N,1,H,W]."""
     _require_rank(x, 4, "channel_pool input")
@@ -466,6 +535,7 @@ def _sum_to_shape(arr: np.ndarray, shape: tuple) -> np.ndarray:
     return arr
 
 
+@_replayable
 def mul_broadcast(x: Tensor, a: Tensor) -> Tensor:
     """Elementwise x * a where a is an exact match, a channel gate [N,C,1,1],
     or a spatial gate [N,1,H,W]; backward sums over broadcast axes."""
@@ -489,6 +559,7 @@ def mul_broadcast(x: Tensor, a: Tensor) -> Tensor:
     return _make_out(x.data * a.data, "mul_broadcast", (x, a), grad_fn)
 
 
+@_replayable
 def concat_channels(xs: list) -> Tensor:
     """Channel-axis concatenation in argument order."""
     if not xs:
@@ -510,6 +581,7 @@ def concat_channels(xs: list) -> Tensor:
                      tuple(xs), grad_fn)
 
 
+@_replayable
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Fully connected layer on [N,C,1,1] vectors: y = w @ x + b.
     With b None there is no bias add, and the op's inputs are (x, w)."""
@@ -546,6 +618,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # losses / reductions
 
 
+@_replayable
 def bce_loss(pred: Tensor, target: Tensor) -> Tensor:
     """Mean binary cross-entropy; predictions clamped to [1e-7, 1-1e-7].
 
@@ -573,6 +646,7 @@ def bce_loss(pred: Tensor, target: Tensor) -> Tensor:
     return _make_out(out_data, "bce_loss", (pred, target), grad_fn)
 
 
+@_replayable
 def add(x: Tensor, y: Tensor) -> Tensor:
     """Elementwise sum of two same-shape tensors (residual connections)."""
     if x.data.shape != y.data.shape:
@@ -585,6 +659,7 @@ def add(x: Tensor, y: Tensor) -> Tensor:
     return _make_out(x.data + y.data, "add", (x, y), grad_fn)
 
 
+@_replayable
 def scale(x: Tensor, s: float) -> Tensor:
     """Multiply by a python constant (loss weighting)."""
     def grad_fn(g):
@@ -592,6 +667,7 @@ def scale(x: Tensor, s: float) -> Tensor:
     return _make_out(x.data * x.data.dtype.type(s), "scale", (x,), grad_fn)
 
 
+@_replayable
 def sum_all(x: Tensor) -> Tensor:
     """Reduce every element to a rank-0 scalar."""
     def grad_fn(g):
@@ -614,31 +690,42 @@ def grad_check(build_fn, leaves, eps: float = 1e-3, promote=()) -> float:
     cleared, so those evaluations build no graph. Original data, grad, and
     requires_grad are restored on exit. The error metric is
     |analytic - numeric| / max(1, |numeric|), maximized over all elements.
+
+    A perturbed evaluation reuses the analytic evaluation's output of every
+    op call that the perturbed leaf cannot reach (see `_Replay`), so its
+    result equals a full re-evaluation's bit for bit provided that ops read
+    only the tensors passed to them, that `build_fn` mutates no data its ops
+    read, and that no tensor it keeps across evaluations shares memory with
+    a leaf. A replayed training-mode `batch_norm` skips its running-buffer
+    update; no training-mode output reads those buffers.
     """
     touched = list(leaves) + list(promote)
     saved = [(t, t.data, t.requires_grad, t.grad) for t in touched]
+    outer, replay = _Replay._active, _Replay()
     try:
         for t in touched:
             t.data = t.data.astype(np.float64)
         for t in leaves:
             t.requires_grad = True
             t.grad = None
-        loss = build_fn(*leaves)
-        backward(loss)
+        _Replay._active = replay
+        backward(build_fn(*leaves))
         analytic = [t.grad_or_zeros().copy() for t in leaves]
-        for t in leaves:  # the perturbed evaluations below differentiate nothing
+        replay.detach()  # the perturbed evaluations below differentiate nothing
+        for t in leaves:
             t.requires_grad = False
 
         worst = 0.0
         for leaf, ana in zip(leaves, analytic):
+            replay.leaf = leaf
             flat = leaf.data.reshape(-1)
             ana_flat = ana.reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + eps
-                up = float(build_fn(*leaves).data)
+                up = replay.evaluate(build_fn, leaves)
                 flat[i] = orig - eps
-                down = float(build_fn(*leaves).data)
+                down = replay.evaluate(build_fn, leaves)
                 flat[i] = orig
                 numeric = (up - down) / (2.0 * eps)
                 err = abs(ana_flat[i] - numeric) / max(1.0, abs(numeric))
@@ -646,6 +733,7 @@ def grad_check(build_fn, leaves, eps: float = 1e-3, promote=()) -> float:
                     worst = err
         return worst
     finally:
+        _Replay._active = outer
         for t, data, rg, grad in saved:
             t.data = data
             t.requires_grad = rg

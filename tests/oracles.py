@@ -182,6 +182,47 @@ def interp_matrix_bits_reference(n_in, n_out, dtype):
     return m.astype(dtype)
 
 
+def grad_check_loops(build_fn, leaves, eps=1e-3, promote=()):
+    """The whole-graph perturbation loop: `tensor.grad_check` without replay,
+    every perturbed evaluation running every op. Calls the package's
+    `backward` for the analytic side, as `grad_check` does."""
+    from nuseg.tensor import backward
+
+    touched = list(leaves) + list(promote)
+    saved = [(t, t.data, t.requires_grad, t.grad) for t in touched]
+    try:
+        for t in touched:
+            t.data = t.data.astype(np.float64)
+        for t in leaves:
+            t.requires_grad = True
+            t.grad = None
+        backward(build_fn(*leaves))
+        analytic = [t.grad_or_zeros().copy() for t in leaves]
+        for t in leaves:
+            t.requires_grad = False
+        worst = 0.0
+        for leaf, ana in zip(leaves, analytic):
+            flat = leaf.data.reshape(-1)
+            ana_flat = ana.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                up = float(build_fn(*leaves).data)
+                flat[i] = orig - eps
+                down = float(build_fn(*leaves).data)
+                flat[i] = orig
+                numeric = (up - down) / (2.0 * eps)
+                err = abs(ana_flat[i] - numeric) / max(1.0, abs(numeric))
+                if err > worst:
+                    worst = err
+        return worst
+    finally:
+        for t, data, rg, grad in saved:
+            t.data = data
+            t.requires_grad = rg
+            t.grad = grad
+
+
 def sigmoid_f64(z):
     return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=np.float64)))
 

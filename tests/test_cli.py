@@ -287,7 +287,8 @@ class TestSharedEvaluation:
 
 class TestOutputPaths:
     @pytest.mark.parametrize("command",
-                             ["infer", "infer-pgm", "eval", "roc", "roc-svg", "report"])
+                             ["infer", "infer-pgm", "eval", "roc", "roc-svg", "report",
+                              "report-below-a-file"])
     def test_unusable_output_path_is_refused_before_the_checkpoint(
             self, workdir, tmp_path, capsys, monkeypatch, command):
         """The command exits 1 naming the path and writes nothing, without
@@ -313,6 +314,9 @@ class TestOutputPaths:
                         f"error: svg '{folder}' is a directory"),
             "report": (["report", *base, "--out-dir", str(afile)],
                        f"error: out_dir '{afile}' is not a directory"),
+            "report-below-a-file": (
+                ["report", *base, "--out-dir", str(afile / "sub")],
+                f"error: out_dir '{afile / 'sub'}' cannot be made: '{afile}' is not a directory"),
         }[command]
         assert main(argv) == 1
         assert message in capsys.readouterr().err

@@ -20,9 +20,11 @@ from nuseg.tensor import (Tape, Tensor, activation, add, backward, batch_norm,
                           mul_broadcast, relu, scale, sigmoid, sum_all,
                           upsample_bilinear, zero_grads)
 
+import test_acceptance as acceptance
 from oracles import (batchnorm_bits_reference, batchnorm_train_loops, bce_f64,
-                     bilinear_loops, conv2d_loops, interp_matrix_bits_reference,
-                     linear_loops, maxpool_grad_loops, maxpool_loops)
+                     bilinear_loops, conv2d_loops, grad_check_loops,
+                     interp_matrix_bits_reference, linear_loops, maxpool_grad_loops,
+                     maxpool_loops)
 
 
 def rand(prng, *shape):
@@ -434,6 +436,13 @@ class TestUpsampleBilinear:
         want = interp_matrix_bits_reference(n_in, n_out, dtype)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    def test_interp_matrix_is_shared_and_read_only(self):
+        m = tensor._interp_matrix(3, 7, np.dtype(np.float32))
+        assert tensor._interp_matrix(3, 7, np.dtype(np.float32)) is m
+        assert not m.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 2.0
+
     def test_downsample_rejected(self):
         x = Tensor(np.ones((1, 1, 4, 4), dtype=np.float32))
         with pytest.raises(ValueError, match="smaller"):
@@ -844,3 +853,96 @@ class TestGradCheckHarness:
         assert graphs.count(True) == 1 and graphs[0]
         assert len(graphs) == 1 + 2 * (x.data.size + w.data.size + b.data.size)
         assert (x.requires_grad, w.requires_grad, b.requires_grad) == (True, True, False)
+
+
+def _both_hex(build, leaves, **kw):
+    """grad_check and the whole-graph loop on the same graph, as float.hex."""
+    got = grad_check(build, leaves, **kw)
+    want = grad_check_loops(build, leaves, **kw)
+    return float(got).hex(), float(want).hex()
+
+
+class TestGradCheckReplay:
+    """Perturbed evaluations reuse the op outputs that the perturbed leaf
+    cannot reach; the error must equal the whole-graph loop's to the bit."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 13])
+    def test_c01_graphs_match_the_loop_oracle(self, seed, monkeypatch):
+        pairs = []
+
+        def both(build, leaves, **kw):
+            pairs.append(_both_hex(build, leaves, **kw))
+            return float.fromhex(pairs[-1][0])
+        monkeypatch.setattr(acceptance, "grad_check", both)
+        acceptance._per_op_errors(seed)
+        acceptance._composed_error(seed)
+        assert len(pairs) == 20
+        assert [got for got, _ in pairs] == [want for _, want in pairs]
+
+    def test_a_leaf_copied_outside_any_op_is_not_replayed(self):
+        """The copy is a fresh tensor each time, so no op reading it replays;
+        its path carries no analytic grad, which both checkers must report."""
+        prng = Prng(31)
+        a, b = rand(prng, 1, 2, 3, 3), rand(prng, 1, 2, 3, 3)
+        w = Tensor(prng.normal((1, 2, 3, 3)))
+
+        def build(a_, b_):
+            copy = Tensor(a_.data.copy())
+            return sum_all(mul_broadcast(add(sigmoid(copy), relu(b_)), w))
+
+        got, want = _both_hex(build, [a, b], promote=[w])
+        assert got == want and float.fromhex(got) > 0.1
+
+    def test_the_branch_off_the_perturbed_leaf_replays(self):
+        """Each branch's ops run in the analytic pass and when its own leaf is
+        perturbed; the other leaf's perturbations replay them."""
+        prng = Prng(32)
+        a, b = rand(prng, 1, 2, 3, 3), rand(prng, 1, 2, 2, 2)
+        wa, wb = Tensor(prng.normal((1, 2, 3, 3))), Tensor(prng.normal((1, 2, 4, 4)))
+
+        def build(a_, b_):
+            left = sum_all(mul_broadcast(sigmoid(a_), wa))
+            right = sum_all(mul_broadcast(scale(upsample_bilinear(b_, 4, 4), 0.5), wb))
+            return add(left, right)
+
+        with Tape() as tape:
+            got = grad_check(build, [a, b], promote=[wa, wb])
+        assert float(got).hex() == float(grad_check_loops(build, [a, b], promote=[wa, wb])).hex()
+        names = tape.names()
+        assert names.count("sigmoid") == 1 + 2 * a.data.size
+        assert names.count("upsample_bilinear") == names.count("scale") == 1 + 2 * b.data.size
+        assert names.count("add") == 1 + 2 * (a.data.size + b.data.size)
+
+    def test_a_wrong_backward_below_replayed_ops_is_flagged(self):
+        prng = Prng(33)
+        a, b = rand(prng, 1, 1, 2, 3), rand(prng, 1, 1, 2, 3)
+
+        def broken(a_, b_):
+            out = sum_all(add(relu(a_), sigmoid(b_)))
+            if out._backward is not None:
+                def wrong(g):
+                    b_.accum_grad(np.full_like(b_.data, 0.123))
+                out._backward = wrong
+            return out
+
+        got, want = _both_hex(broken, [a, b])
+        assert got == want and float.fromhex(got) > 0.1
+
+    def test_no_replay_outlives_grad_check(self):
+        prng = Prng(34)
+        x = rand(prng, 1, 1, 2, 2)
+        grad_check(lambda x_: sum_all(relu(x_)), [x])
+        assert tensor._Replay._active is None
+        calls = []
+
+        def failing(x_):
+            calls.append(tensor._Replay._active)
+            if len(calls) == 3:
+                raise RuntimeError("build failed")
+            return sum_all(relu(x_))
+
+        with pytest.raises(RuntimeError, match="build failed"):
+            grad_check(failing, [x])
+        assert calls[0] is not None and tensor._Replay._active is None
+        assert x.data.dtype == np.float32 and x.requires_grad
+
