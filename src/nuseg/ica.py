@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import BnParams, _he_normal, zeros_param
+from .layers import BnParams, Params, _he_normal, zeros_param
 from .prng import Prng
 from .tensor import (Tensor, activation, channel_pool, concat_channels, conv2d,
                      global_avg_pool, linear, mul_broadcast, upsample_bilinear)
@@ -26,7 +26,7 @@ GATE_KINDS = ("sigmoid", "relu")
 REDUCTION = 4  # channel squeeze ratio r of the excitation and the 1x1 reduction
 
 
-class IcaParams:
+class IcaParams(Params):
     """Parameters for one attention module over C-channel features.
 
     The excitation pair maps C -> C/r -> C, with r = REDUCTION, and has BN
@@ -59,10 +59,6 @@ class IcaParams:
         out.update(self.bn2.named(f"{prefix}.bn2"))
         out.update(self.c1_bn.named(f"{prefix}.c1.bn"))
         return out
-
-    def trainables(self) -> list:
-        return ([self.w1, self.w2, self.c1_w, self.c3_w, self.c3_b]
-                + self.bn1.trainables() + self.bn2.trainables() + self.c1_bn.trainables())
 
 
 @dataclass

@@ -12,7 +12,7 @@ import numpy as np
 from .prng import Prng
 from .tensor import Tensor, activation, batch_norm, conv2d
 
-__all__ = ["zeros_param", "BnParams", "ConvBnRelu", "Conv"]
+__all__ = ["zeros_param", "Params", "BnParams", "ConvBnRelu", "Conv"]
 
 
 def _he_normal(prng: Prng | None, shape: tuple) -> Tensor:
@@ -28,7 +28,21 @@ def zeros_param(shape) -> Tensor:
     return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
 
 
-class BnParams:
+class Params:
+    """A node of the nested parameter tree (model -> block -> unit -> BN).
+    `named(prefix)` is the one enumeration of a node's tensors, keyed by
+    dotted name under `prefix`, and `trainables()` is derived from it."""
+
+    def named(self, prefix: str) -> dict:
+        raise NotImplementedError
+
+    def trainables(self) -> list:
+        """The tensors of `named()` that require grad, in `named()` order:
+        every one but the BN running buffers."""
+        return [t for t in self.named("").values() if t.requires_grad]
+
+
+class BnParams(Params):
     """Affine parameters plus running-statistics buffers for one BN layer."""
 
     def __init__(self, channels: int):
@@ -49,11 +63,8 @@ class BnParams:
             f"{prefix}.rv": self.running_var,
         }
 
-    def trainables(self) -> list:
-        return [self.gamma, self.beta]
 
-
-class ConvBnRelu:
+class ConvBnRelu(Params):
     """3x3 conv -> batch norm -> relu, the basic unit of every block.
     The conv has no bias, since the BN after it cancels one.
 
@@ -75,11 +86,8 @@ class ConvBnRelu:
         out.update(self.bn.named(f"{prefix}.bn"))
         return out
 
-    def trainables(self) -> list:
-        return [self.w] + self.bn.trainables()
 
-
-class Conv:
+class Conv(Params):
     """Bare conv with bias, no normalization (side heads, fusion, projections)."""
 
     def __init__(self, prng: Prng, cin: int, cout: int, k: int = 1):
@@ -92,6 +100,3 @@ class Conv:
 
     def named(self, prefix: str) -> dict:
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
-
-    def trainables(self) -> list:
-        return [self.w, self.b]

@@ -84,6 +84,18 @@ def _check_pairs(preds, gts) -> None:
                              f"{np.asarray(p).shape} vs {np.asarray(g).shape}")
 
 
+def _iou(tp: int, fp: int, fn: int, empty_value: float = 1.0) -> float:
+    """tp / (tp + fp + fn) of one sample's or pooled counts; 0/0 scores
+    `empty_value`."""
+    union = tp + fp + fn
+    return empty_value if union == 0 else tp / union
+
+
+def _pooled_iou(counts: list) -> float:
+    return _iou(sum(c.tp for c in counts), sum(c.fp for c in counts),
+                sum(c.fn for c in counts))
+
+
 def iou_dataset(preds, gts) -> float:
     """Pooled intersection over union: sum TP / (sum T + sum P - sum TP).
 
@@ -91,20 +103,12 @@ def iou_dataset(preds, gts) -> float:
     1.0 by the 0/0-as-perfect convention.
     """
     _check_pairs(preds, gts)
-    tp = t = p = 0
-    for pred, gt in zip(preds, gts):
-        c = confusion(pred, gt)
-        tp += c.tp
-        t += c.tp + c.fn
-        p += c.tp + c.fp
-    union = t + p - tp
-    return 1.0 if union == 0 else tp / union
+    return _pooled_iou([confusion(p, g) for p, g in zip(preds, gts)])
 
 
 def per_sample_iou(pred, gt, empty_value: float = 1.0) -> float:
     c = confusion(pred, gt)
-    union = c.tp + c.fp + c.fn
-    return empty_value if union == 0 else c.tp / union
+    return _iou(c.tp, c.fp, c.fn, empty_value)
 
 
 def niou(preds, gts, empty_value: float = 1.0) -> float:
@@ -206,14 +210,14 @@ def compute_report(scores, gts, thr: float = 0.5, n_thresholds: int = 0,
     attaching a ROC curve when n_thresholds > 0."""
     _check_report_args(thr, n_thresholds, fpr_mode)
     _check_pairs(scores, gts)
-    preds = [binarize(s, thr) for s in scores]
-    per_sample = [per_sample_iou(p, g) for p, g in zip(preds, gts)]
+    counts = [confusion(binarize(s, thr), g) for s, g in zip(scores, gts)]
+    per_sample = [_iou(c.tp, c.fp, c.fn) for c in counts]
     objects = [connected_components(np.asarray(g))[0] for g in gts]
     curve = roc(scores, gts, n_thresholds, fpr_mode) if n_thresholds > 0 else None
-    return MetricsReport(iou=iou_dataset(preds, gts),
+    return MetricsReport(iou=_pooled_iou(counts),
                          niou=float(np.mean(per_sample)),
                          per_sample_iou=per_sample,
-                         n_samples=len(preds),
+                         n_samples=len(counts),
                          objects_per_sample=objects,
                          roc=curve)
 

@@ -17,7 +17,7 @@ rule so `stages` and per-stage `mid_ch.<i>` overrides stay consistent.
 from dataclasses import dataclass
 
 from .ica import GATE_KINDS, REDUCTION, IcaParams, ica_forward
-from .layers import Conv
+from .layers import Conv, Params
 from .prng import Prng
 from .rsu import RsuParams, RsuSpec, rsu_forward
 from .tensor import (Tensor, activation, concat_channels, max_pool2d,
@@ -211,7 +211,7 @@ class SideOutputs:
         return [activation(t, "sigmoid") for t in self.d + [self.fused]]
 
 
-class ModelParams:
+class ModelParams(Params):
     """All parameters; build order is encoders, then per-decoder skip modules
     and decoder blocks deepest-first, then side heads, then fusion. Encoders
     come first so their draws do not move when attention is toggled. With
@@ -238,30 +238,22 @@ class ModelParams:
         self.heads = [Conv(prng, ch, 1, k=3) for ch in head_ch]
         self.fuse = Conv(prng, cfg.n_side, 1, k=1)
 
-    def named(self) -> dict:
+    def named(self, prefix: str = "") -> dict:
+        """The root of the tree: keys are the checkpoint names after `prefix`."""
         out = {}
         s = self.cfg.stages
         for i, enc in enumerate(self.encoders, start=1):
-            out.update(enc.named(f"en{i}"))
+            out.update(enc.named(f"{prefix}en{i}"))
         for k, dec in enumerate(self.decoders):
             level = s - 1 - k
             if self.cfg.ica_enabled:
-                out.update(self.projs[k].named(f"proj{level}"))
-                out.update(self.icas[k].named(f"ica{level}"))
-            out.update(dec.named(f"de{level}"))
+                out.update(self.projs[k].named(f"{prefix}proj{level}"))
+                out.update(self.icas[k].named(f"{prefix}ica{level}"))
+            out.update(dec.named(f"{prefix}de{level}"))
         for j, head in enumerate(self.heads, start=1):
-            out.update(head.named(f"head{j}"))
-        out.update(self.fuse.named("fuse"))
+            out.update(head.named(f"{prefix}head{j}"))
+        out.update(self.fuse.named(f"{prefix}fuse"))
         return out
-
-    def trainables(self) -> list:
-        mods = list(self.encoders)
-        for k in range(len(self.decoders)):
-            if self.cfg.ica_enabled:
-                mods += [self.projs[k], self.icas[k]]
-            mods.append(self.decoders[k])
-        mods += self.heads + [self.fuse]
-        return [t for m in mods for t in m.trainables()]
 
 
 def _check_input(cfg: ModelConfig, x: Tensor) -> None:
@@ -327,14 +319,14 @@ def forward(params: ModelParams, x: Tensor, training: bool) -> SideOutputs:
 def infer(params: ModelParams, image: Tensor) -> Tensor:
     """Eval-mode probability map from the fused head: [N,1,H,W] in [0,1].
     Builds no autodiff graph: the parameters' grad flags are off for the call."""
-    saved = [(t, t.requires_grad) for t in params.trainables()]
+    trainables = params.trainables()
     try:
-        for t, _ in saved:
+        for t in trainables:
             t.requires_grad = False
         return activation(forward(params, image, training=False).fused, "sigmoid")
     finally:
-        for t, flag in saved:
-            t.requires_grad = flag
+        for t in trainables:
+            t.requires_grad = True
 
 
 def count_params(params: ModelParams) -> int:

@@ -9,7 +9,7 @@ and back down. Both end with the residual sum: decoder top + input conv.
 
 from dataclasses import dataclass
 
-from .layers import ConvBnRelu
+from .layers import ConvBnRelu, Params
 from .prng import Prng
 from .tensor import Tensor, add, concat_channels, max_pool2d, upsample_bilinear
 
@@ -55,7 +55,7 @@ def dilation_schedule(spec: RsuSpec) -> list:
     return [1] * (spec.depth - 1) + [2]
 
 
-class RsuParams:
+class RsuParams(Params):
     """Parameters of one block; construction order fixes the rng draws."""
 
     def __init__(self, spec: RsuSpec, prng: Prng):
@@ -84,10 +84,6 @@ class RsuParams:
         for i, dec in enumerate(self.decs):
             out.update(dec.named(f"{prefix}.de{self.spec.depth - 1 - i}"))
         return out
-
-    def trainables(self) -> list:
-        mods = [self.conv_in] + self.encs + [self.bottom] + self.decs
-        return [t for m in mods for t in m.trainables()]
 
 
 def rsu_forward(params: RsuParams, x: Tensor, training: bool) -> Tensor:

@@ -46,7 +46,10 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "op", "_parents", "_backward", "_id")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float32) if not isinstance(data, np.ndarray) else data
+        if not isinstance(data, np.ndarray):
+            # a NumPy scalar, e.g. a rank-0 op result, keeps its dtype: float64 stays
+            data = np.asarray(data, dtype=data.dtype if isinstance(data, np.generic) else np.float32)
+        self.data = data
         if self.data.dtype not in (np.float32, np.float64):
             self.data = self.data.astype(np.float32)
         self.requires_grad = requires_grad

@@ -4,9 +4,10 @@ Every supervised map (each side logit plus the fused logit) contributes a
 weighted BCE term against the same target mask. Optimization is textbook
 Adam with bias correction. The loop shuffles sample order once per epoch
 from a seed-derived stream, logs `step,loss,iou` rows, and serializes the
-complete training state (model tensors, BN running stats, Adam moments,
-step counter, config echoes) into one container file whose save -> load ->
-save round-trip is byte-identical.
+complete training state into one container file whose save -> load -> save
+round-trip is byte-identical. Its layout: the `meta.*` config and step
+entries, the model's `named()` tensors, then `adam.t` and one
+`adam.<name>.m`/`.v` pair per trainable, in `named()` order.
 """
 
 import math
@@ -282,16 +283,6 @@ def _restore(entries: dict, params: ModelParams = None) -> tuple:
     if stored_cfg != expected:
         raise ValueError("checkpoint model config does not match this model:\n"
                          f"stored:   {stored_cfg!r}\nexpected: {expected!r}")
-    named = params.named()
-    for name, t in named.items():
-        if name not in entries:
-            raise ValueError(f"checkpoint missing tensor {name!r}")
-        arr = entries[name]
-        if arr.shape != t.data.shape:
-            raise ValueError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
-                             f"model expects {t.data.shape}")
-        t.data[...] = arr
-    known = set(named)
     step = _scalar_entry(entries, "meta.step") if "meta.step" in entries else 0
     train_cfg = None
     if "meta.train_cfg" in entries:
@@ -300,21 +291,18 @@ def _restore(entries: dict, params: ModelParams = None) -> tuple:
     if "adam.t" in entries:
         state = AdamState(params.trainables())
         state.t = _scalar_entry(entries, "adam.t")
-        name_of = {id(t): name for name, t in named.items()}
-        for i, p in enumerate(state.params):
-            base = f"adam.{name_of[id(p)]}"
-            for suffix, buf in ((".m", state.m), (".v", state.v)):
-                key = base + suffix
-                if key not in entries:
-                    raise ValueError(f"checkpoint missing tensor {key!r}")
-                if entries[key].shape != p.data.shape:
-                    raise ValueError(f"checkpoint tensor {key!r} has shape "
-                                     f"{entries[key].shape}, expected {p.data.shape}")
-                buf[i][...] = entries[key]
-                known.add(key)
-        known.add("adam.t")
-    known.update(("meta.model_cfg", "meta.step", "meta.train_cfg"))
-    extra = sorted(set(entries) - known)
+    # the save layout holds the live tensors and Adam buffers: copy into them
+    layout = _checkpoint_entries(params, state, step, train_cfg)
+    for name, arr in layout.items():
+        if name.startswith("meta."):
+            continue  # read above
+        if name not in entries:
+            raise ValueError(f"checkpoint missing tensor {name!r}")
+        if entries[name].shape != arr.shape:
+            raise ValueError(f"checkpoint tensor {name!r} has shape {entries[name].shape}, "
+                             f"model expects {arr.shape}")
+        arr[...] = entries[name]
+    extra = sorted(set(entries) - set(layout))
     if extra:
         raise ValueError(f"checkpoint holds unknown tensors: {extra}")
     return params, {"state": state, "step": step, "train_cfg": train_cfg}

@@ -3,6 +3,8 @@ presets and input sizes, side-output plumbing, attention toggling, and the
 parameter / MAC counters.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,9 @@ from nuseg.tensor import Tape, Tensor, add, backward, sum_all
 from nuseg.train import total_loss
 
 from oracles import conv2d_mac_count
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def image(seed, n=1, size=32):
@@ -301,6 +306,19 @@ class TestInfer:
         assert not np.array_equal(params.named()[key].data, before)
 
 
+class TestParamTree:
+    @pytest.mark.parametrize("preset,ica_enabled,count", [
+        ("tiny", True, 136), ("tiny", False, 110), ("small", True, 211), ("small", False, 172)])
+    def test_trainables_are_the_grad_tensors_of_named(self, preset, ica_enabled, count):
+        params = ModelParams(ModelConfig(preset=preset, ica_enabled=ica_enabled), None)
+        named = params.named()
+        got = params.trainables()
+        assert len(got) == count
+        assert [id(t) for t in got] == [id(t) for t in named.values() if t.requires_grad]
+        frozen = {key.rpartition(".")[2] for key, t in named.items() if not t.requires_grad}
+        assert frozen == {"rm", "rv"}  # only the BN running buffers
+
+
 class TestCounters:
     def test_conv_param_example(self):
         conv = Conv(Prng(0), 3, 8, k=3)
@@ -311,6 +329,16 @@ class TestCounters:
         named_total = sum(t.data.size for t in params.named().values()
                           if t.requires_grad)
         assert count_params(params) == named_total
+
+    @pytest.mark.parametrize("preset,stages,n_params", [
+        ("tiny", 3, 35_581), ("small", 4, 242_914), ("full", 6, 49_013_932)])
+    def test_readme_presets_row_matches_the_model(self, preset, stages, n_params):
+        """The README's presets table states each preset's stages and
+        parameter count; this keeps that row in step with the code."""
+        assert f"| `{preset}` | {stages} | {n_params:,} |" in README.read_text()
+        params = ModelParams(ModelConfig(preset=preset), None)
+        assert params.cfg.stages == stages
+        assert count_params(params) == n_params
 
     def test_attention_adds_params(self):
         on = count_params(ModelParams(ModelConfig(preset="tiny"), Prng(0)))

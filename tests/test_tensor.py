@@ -119,6 +119,16 @@ class TestTensorBasics:
         backward(scale(sum_all(xb), 2.0))
         np.testing.assert_allclose(joint, xa.grad + xb.grad, rtol=1e-6)
 
+    def test_rank0_results_keep_float64(self):
+        """`scale` and `add` of a rank-0 float64 tensor stay float64, so a
+        loss that sums weighted scalars grad-checks in double precision."""
+        x = Tensor(Prng(31).normal((1, 1, 4, 4)))
+        x64 = Tensor(x.data.astype(np.float64))
+        assert scale(sum_all(x64), 0.5).dtype == np.float64
+        assert add(sum_all(x64), sum_all(x64)).dtype == np.float64
+        err = grad_check(lambda t: add(sum_all(t), scale(sum_all(t), 0.5)), [x], eps=1e-5)
+        assert err < 1e-3
+
     def test_repeat_backward_accumulates(self):
         x = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32), requires_grad=True)
         loss = sum_all(x)

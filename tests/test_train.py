@@ -13,9 +13,9 @@ import pytest
 
 from nuseg import io as tio
 from nuseg.metrics import compute_report
-from nuseg.model import ModelConfig, ModelParams, forward
+from nuseg.model import ModelConfig, ModelParams, SideOutputs, forward
 from nuseg.prng import Prng
-from nuseg.tensor import Tensor
+from nuseg.tensor import Tensor, grad_check
 from nuseg.train import (AdamState, TRAIN_KEYS, TrainConfig, adam_step,
                          evaluate_dataset, load_checkpoint, open_checkpoint,
                          parse_train_config, render_train_config, run_ablation,
@@ -203,6 +203,18 @@ class TestTotalLoss:
         want = sum(w * bce_f64(sigmoid_f64(t.data), target)
                    for w, t in zip(weights, out.d + [out.fused]))
         np.testing.assert_allclose(loss, want, rtol=1e-5)
+
+    def test_grad_checks_in_float64(self):
+        """Each weighted BCE term is a rank-0 float64 tensor under grad_check.
+        Rounded to float32, the loss would leave a central-difference error of
+        about 1e-2 at eps 1e-5."""
+        prng = Prng(28)
+        logits = [Tensor(prng.normal((1, 1, 4, 4))) for _ in range(3)]
+        target = Tensor((prng.uniform_array(16).reshape(1, 1, 4, 4) > 0.5).astype(np.float32))
+
+        def build(d1, d2, fused):
+            return total_loss(SideOutputs(d=[d1, d2], fused=fused), target, [0.5, 2.0, 1.0])
+        assert grad_check(build, logits, eps=1e-5, promote=(target,)) < 1e-3
 
     def test_wrong_weight_count_is_an_error(self):
         params = ModelParams(ModelConfig(preset="tiny"), Prng(4))
@@ -452,6 +464,31 @@ class TestCheckpoint:
         for key, t in params.named().items():
             np.testing.assert_array_equal(restored.named()[key].data, t.data, err_msg=key)
             assert restored.named()[key].requires_grad == t.requires_grad, key
+
+    def _adam_checkpoint(self, tmp_path, seed):
+        params, dataset, cfg = tiny_setup(seed=seed, epochs=1, batch_size=2)
+        state = train_loop(params, dataset, cfg, max_steps=1)["state"]
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, state=state, step=1, train_cfg=cfg)
+        return path, tio.load_entries(path)
+
+    def _assert_both_loads_fail(self, path, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_checkpoint(path, ModelParams(ModelConfig(preset="tiny"), Prng(0)))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            open_checkpoint(path)
+
+    def test_missing_adam_moment_is_named(self, tmp_path):
+        path, entries = self._adam_checkpoint(tmp_path, seed=29)
+        del entries["adam.ica2.w1.m"]
+        tio.save_entries(path, entries)
+        self._assert_both_loads_fail(path, "checkpoint missing tensor 'adam.ica2.w1.m'")
+
+    def test_misshapen_adam_moment_is_named(self, tmp_path):
+        path, entries = self._adam_checkpoint(tmp_path, seed=30)
+        entries["adam.en2.bt.w.v"] = np.zeros(3, dtype=np.float32)
+        tio.save_entries(path, entries)
+        self._assert_both_loads_fail(path, "checkpoint tensor 'adam.en2.bt.w.v' has shape (3,)")
 
     @pytest.mark.parametrize("key", ["meta.step", "adam.t"])
     def test_non_scalar_counter_is_named(self, tmp_path, key):
