@@ -14,7 +14,7 @@ import sys
 from .data import (DatasetTemplate, _model_input, gen_dataset, load_dataset, load_pgm,
                    save_pgm)
 from .io import _check_output_paths, save_tensor
-from .metrics import write_report_csv, write_roc_csv, write_roc_svg
+from .metrics import FPR_MODES, write_report_csv, write_roc_csv, write_roc_svg
 from .model import ModelParams, infer, parse_model_config
 from .prng import Prng
 from .tensor import Tensor
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--n-thr", type=int, default=33, help="number of thresholds")
-    p.add_argument("--fpr-mode", choices=("standard", "paper_literal"),
+    p.add_argument("--fpr-mode", choices=FPR_MODES,
                    default="standard", help="false-positive-rate definition")
     p.add_argument("--out", default="roc.csv", help="thr,fpr,tpr CSV path")
     p.add_argument("--svg", default=None, help="also write an SVG plot here")
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--thr", type=float, default=0.5, help="binarization threshold")
     p.add_argument("--n-thr", type=int, default=33, help="number of ROC thresholds")
-    p.add_argument("--fpr-mode", choices=("standard", "paper_literal"),
+    p.add_argument("--fpr-mode", choices=FPR_MODES,
                    default="standard", help="false-positive-rate definition")
     p.add_argument("--out-dir", required=True, help="directory for the three files")
     p.set_defaults(func=cmd_report)

@@ -29,7 +29,11 @@ __all__ = ["ModelConfig", "ModelParams", "SideOutputs", "parse_model_config",
 
 PRESETS = ("tiny", "small", "full")
 INPUT_CHANNELS = 3  # images enter as 3 channels (a grey frame repeated)
-CONFIG_KEYS = "gate_kind, ica_enabled, mid_ch.<i>, preset, stages"
+# the config keys and their types, in render order; `mid_ch.<i>` is the
+# one pattern key. ModelConfig.__init__ holds the defaults.
+_MODEL_KEYS = {"preset": str, "stages": int, "ica_enabled": bool, "gate_kind": str}
+_MID_KEY = "mid_ch."
+CONFIG_KEYS = ", ".join(sorted([*_MODEL_KEYS, _MID_KEY + "<i>"]))
 
 # family rule for tiny/small: stage i doubles mid/out until the cap
 _FAMILY = {
@@ -146,44 +150,50 @@ def _config_lines(text: str):
         yield key, val
 
 
-def _parse_int(key: str, val: str) -> int:
+def _parse_value(key: str, val: str, kind: type):
+    """`val` as `kind`: int, float, bool (`true`/`false`), str, or list
+    (comma-separated floats). A bad value is an error naming the key."""
+    if kind is str:
+        return val
+    if kind is bool:
+        if val in ("true", "false"):
+            return val == "true"
+        raise ValueError(f"config key {key!r}: expected true or false, got {val!r}")
+    if kind is list:
+        return [_parse_value(key, p, float) for p in val.split(",") if p.strip()]
     try:
-        return int(val)
+        return kind(val)
     except ValueError:
-        raise ValueError(f"config key {key!r}: expected integer, got {val!r}") from None
+        expected = "integer" if kind is int else "number"
+        raise ValueError(f"config key {key!r}: expected {expected}, got {val!r}") from None
 
 
-def _parse_float(key: str, val: str) -> float:
-    try:
-        return float(val)
-    except ValueError:
-        raise ValueError(f"config key {key!r}: expected number, got {val!r}") from None
-
-
-def _parse_bool(key: str, val: str) -> bool:
-    if val == "true":
-        return True
-    if val == "false":
-        return False
-    raise ValueError(f"config key {key!r}: expected true or false, got {val!r}")
+def _render_lines(pairs) -> str:
+    """`key = value` lines in the order given; a None value is left out."""
+    lines = []
+    for key, val in pairs:
+        if val is None:
+            continue
+        if isinstance(val, bool):
+            val = "true" if val else "false"
+        elif isinstance(val, float):
+            val = repr(val)
+        elif isinstance(val, list):
+            val = ",".join(repr(v) for v in val)
+        lines.append(f"{key} = {val}")
+    return "\n".join(lines) + "\n"
 
 
 def parse_model_config(text: str) -> ModelConfig:
     """Parse flat `key = value` lines; unknown keys are hard errors."""
-    knobs = {"preset": "tiny", "stages": None, "ica_enabled": True,
-             "gate_kind": "sigmoid"}
+    knobs = {}
     mid_overrides = {}
     for key, val in _config_lines(text):
-        if key == "preset":
-            knobs["preset"] = val
-        elif key == "stages":
-            knobs["stages"] = _parse_int(key, val)
-        elif key == "ica_enabled":
-            knobs["ica_enabled"] = _parse_bool(key, val)
-        elif key == "gate_kind":
-            knobs["gate_kind"] = val
-        elif key.startswith("mid_ch."):
-            mid_overrides[_parse_int(key, key[len("mid_ch."):])] = _parse_int(key, val)
+        if key in _MODEL_KEYS:
+            knobs[key] = _parse_value(key, val, _MODEL_KEYS[key])
+        elif key.startswith(_MID_KEY):
+            stage = _parse_value(key, key[len(_MID_KEY):], int)
+            mid_overrides[stage] = _parse_value(key, val, int)
         else:
             raise ValueError(f"unknown config key {key!r}; valid keys: {CONFIG_KEYS}")
     return ModelConfig(mid_overrides=mid_overrides, **knobs)
@@ -191,14 +201,11 @@ def parse_model_config(text: str) -> ModelConfig:
 
 def render_model_config(cfg: ModelConfig) -> str:
     """Canonical text form; parse(render(cfg)) reproduces the same config."""
-    lines = [f"preset = {cfg.preset}"]
-    if cfg.preset != "full":
-        lines.append(f"stages = {cfg.stages}")
-    lines.append(f"ica_enabled = {'true' if cfg.ica_enabled else 'false'}")
-    lines.append(f"gate_kind = {cfg.gate_kind}")
-    for i in sorted(cfg.mid_overrides):
-        lines.append(f"mid_ch.{i} = {cfg.mid_overrides[i]}")
-    return "\n".join(lines) + "\n"
+    values = {key: getattr(cfg, key) for key in _MODEL_KEYS}
+    if cfg.preset == "full":
+        values["stages"] = None  # fixed by the full preset's table
+    mids = [(f"{_MID_KEY}{i}", cfg.mid_overrides[i]) for i in sorted(cfg.mid_overrides)]
+    return _render_lines([*values.items(), *mids])
 
 
 @dataclass

@@ -11,13 +11,13 @@ entries, the model's `named()` tensors, then `adam.t` and one
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import io as tio
 from .metrics import _check_report_args, _check_thr, binarize, compute_report, iou_dataset
-from .model import (ModelConfig, ModelParams, _config_lines, _parse_float, _parse_int,
+from .model import (ModelConfig, ModelParams, _config_lines, _parse_value, _render_lines,
                     forward, infer, parse_model_config, render_model_config)
 from .prng import Prng
 from .tensor import Tensor, _stable_sigmoid, add, backward, bce_loss, scale, zero_grads
@@ -25,10 +25,6 @@ from .tensor import Tensor, _stable_sigmoid, add, backward, bce_loss, scale, zer
 __all__ = ["TrainConfig", "AdamState", "parse_train_config", "render_train_config",
            "total_loss", "adam_step", "train_loop", "save_checkpoint",
            "load_checkpoint", "evaluate_dataset", "run_ablation"]
-
-TRAIN_KEYS = ("batch_size, beta1, beta2, epochs, eps_adam, loss_weights, "
-              "lr, seed, threshold")
-
 
 @dataclass
 class TrainConfig:
@@ -39,8 +35,8 @@ class TrainConfig:
     batch_size: int = 4
     epochs: int = 50
     seed: int = 0
-    loss_weights: list = None  # None -> all ones, resolved once K is known
     threshold: float = 0.5
+    loss_weights: list = None  # None -> all ones, resolved once K is known
 
     def __post_init__(self):
         for name in ("lr", "eps_adam"):
@@ -67,33 +63,24 @@ class TrainConfig:
             self.loss_weights = ws
 
 
+TRAIN_KEYS = ", ".join(sorted(f.name for f in fields(TrainConfig)))
+
+
 def parse_train_config(text: str) -> TrainConfig:
-    """Flat `key = value` lines; unknown keys are hard errors."""
+    """Flat `key = value` lines, one per TrainConfig field, each parsed as
+    the field's type; unknown keys are hard errors."""
+    kinds = {f.name: f.type for f in fields(TrainConfig)}
     kwargs = {}
     for key, val in _config_lines(text):
-        if key in ("lr", "beta1", "beta2", "eps_adam", "threshold"):
-            kwargs[key] = _parse_float(key, val)
-        elif key in ("batch_size", "epochs", "seed"):
-            kwargs[key] = _parse_int(key, val)
-        elif key == "loss_weights":
-            kwargs[key] = [_parse_float(key, p) for p in val.split(",") if p.strip()]
-        else:
+        if key not in kinds:
             raise ValueError(f"unknown config key {key!r}; valid keys: {TRAIN_KEYS}")
+        kwargs[key] = _parse_value(key, val, kinds[key])
     return TrainConfig(**kwargs)
 
 
 def render_train_config(cfg: TrainConfig) -> str:
-    lines = [f"lr = {cfg.lr!r}",
-             f"beta1 = {cfg.beta1!r}",
-             f"beta2 = {cfg.beta2!r}",
-             f"eps_adam = {cfg.eps_adam!r}",
-             f"batch_size = {cfg.batch_size}",
-             f"epochs = {cfg.epochs}",
-             f"seed = {cfg.seed}",
-             f"threshold = {cfg.threshold!r}"]
-    if cfg.loss_weights is not None:
-        lines.append("loss_weights = " + ",".join(repr(w) for w in cfg.loss_weights))
-    return "\n".join(lines) + "\n"
+    """One line per field in declaration order; unset loss_weights is left out."""
+    return _render_lines((f.name, getattr(cfg, f.name)) for f in fields(cfg))
 
 
 def total_loss(outputs, target: Tensor, weights) -> Tensor:
@@ -291,20 +278,21 @@ def _restore(entries: dict, params: ModelParams = None) -> tuple:
     if "adam.t" in entries:
         state = AdamState(params.trainables())
         state.t = _scalar_entry(entries, "adam.t")
-    # the save layout holds the live tensors and Adam buffers: copy into them
+    # the save layout holds the live tensors and Adam buffers: check every
+    # entry first, so a bad checkpoint leaves them untouched, then copy
     layout = _checkpoint_entries(params, state, step, train_cfg)
-    for name, arr in layout.items():
-        if name.startswith("meta."):
-            continue  # read above
+    live = {name: arr for name, arr in layout.items() if not name.startswith("meta.")}
+    for name, arr in live.items():
         if name not in entries:
             raise ValueError(f"checkpoint missing tensor {name!r}")
         if entries[name].shape != arr.shape:
             raise ValueError(f"checkpoint tensor {name!r} has shape {entries[name].shape}, "
                              f"model expects {arr.shape}")
-        arr[...] = entries[name]
     extra = sorted(set(entries) - set(layout))
     if extra:
         raise ValueError(f"checkpoint holds unknown tensors: {extra}")
+    for name, arr in live.items():
+        arr[...] = entries[name]
     return params, {"state": state, "step": step, "train_cfg": train_cfg}
 
 

@@ -7,9 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from nuseg.ica import GATE_KINDS
 from nuseg.layers import Conv
-from nuseg.model import (CONFIG_KEYS, ModelConfig, ModelParams, count_flops,
+from nuseg.model import (CONFIG_KEYS, PRESETS, ModelConfig, ModelParams, count_flops,
                          count_params, forward, forward_features, infer,
                          parse_model_config, render_model_config)
 from nuseg.prng import Prng
@@ -20,6 +23,18 @@ from oracles import conv2d_mac_count
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@st.composite
+def model_configs(draw):
+    """Any valid ModelConfig: every constructor argument is drawn."""
+    preset = draw(st.sampled_from(PRESETS))
+    stages = None if preset == "full" else draw(st.none() | st.integers(3, 7))
+    n_stages = ModelConfig(preset=preset, stages=stages).stages
+    mids = draw(st.dictionaries(st.integers(1, n_stages), st.integers(1, 64), max_size=3))
+    return ModelConfig(preset=preset, stages=stages, mid_overrides=mids,
+                       ica_enabled=draw(st.booleans()),
+                       gate_kind=draw(st.sampled_from(GATE_KINDS)))
 
 
 def image(seed, n=1, size=32):
@@ -112,12 +127,24 @@ class TestConfigText:
         cfg = parse_model_config("# header\n\npreset = small  # trailing\n")
         assert cfg.preset == "small"
 
-    def test_round_trip(self):
-        cfg = ModelConfig(preset="small", stages=5, ica_enabled=False,
-                          gate_kind="relu", mid_overrides={2: 12})
-        again = parse_model_config(render_model_config(cfg))
-        assert render_model_config(again) == render_model_config(cfg)
-        assert again.stages == 5 and again.mid_overrides == {2: 12}
+    @given(model_configs())
+    @example(ModelConfig(preset="small", stages=5, ica_enabled=False,
+                         gate_kind="relu", mid_overrides={2: 12}))
+    @settings(max_examples=50, deadline=None)
+    def test_round_trip(self, cfg):
+        text = render_model_config(cfg)
+        again = parse_model_config(text)
+        assert render_model_config(again) == text
+        assert vars(again) == vars(cfg)
+
+    def test_rendered_text_is_pinned(self):
+        """Checkpoints store this text, so its bytes are part of the format."""
+        assert render_model_config(ModelConfig(preset="tiny")) == (
+            "preset = tiny\nstages = 3\nica_enabled = true\ngate_kind = sigmoid\n")
+        assert render_model_config(ModelConfig(preset="small")) == (
+            "preset = small\nstages = 4\nica_enabled = true\ngate_kind = sigmoid\n")
+        assert render_model_config(ModelConfig(preset="full")) == (
+            "preset = full\nica_enabled = true\ngate_kind = sigmoid\n")
 
     def test_full_render_omits_stages(self):
         text = render_model_config(ModelConfig(preset="full"))

@@ -6,14 +6,19 @@ nothing here should take more than a second or two.
 """
 
 import re
+from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nuseg import io as tio
 from nuseg.metrics import compute_report
-from nuseg.model import ModelConfig, ModelParams, SideOutputs, forward
+from nuseg.model import (CONFIG_KEYS, ModelConfig, ModelParams, SideOutputs, _config_lines,
+                         forward, parse_model_config)
 from nuseg.prng import Prng
 from nuseg.tensor import Tensor, grad_check
 from nuseg.train import (AdamState, TRAIN_KEYS, TrainConfig, adam_step,
@@ -22,6 +27,25 @@ from nuseg.train import (AdamState, TRAIN_KEYS, TrainConfig, adam_step,
                          save_checkpoint, total_loss, train_loop, write_curve)
 
 from oracles import bce_f64, sigmoid_f64
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+_rate = st.floats(min_value=0.0, allow_infinity=False)
+_beta = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+# one strategy per TrainConfig field, each over its whole valid range
+TRAIN_FIELDS = {
+    "lr": _rate,
+    "beta1": _beta,
+    "beta2": _beta,
+    "eps_adam": _rate,
+    "batch_size": st.integers(min_value=1, max_value=2 ** 31),
+    "epochs": st.integers(min_value=0, max_value=2 ** 31),
+    "seed": st.integers(min_value=0, max_value=2 ** 64 - 1),
+    "threshold": st.floats(min_value=0.0, max_value=1.0),
+    "loss_weights": st.none() | st.lists(_rate, min_size=1, max_size=7).filter(
+        lambda ws: any(w > 0 for w in ws)),
+}
 
 
 def leaf(values, dtype=np.float64):
@@ -98,10 +122,34 @@ class TestAdam:
 
 
 class TestTrainConfig:
-    def test_defaults_round_trip(self):
-        cfg = TrainConfig()
-        again = parse_train_config(render_train_config(cfg))
+    @given(st.builds(TrainConfig, **TRAIN_FIELDS))
+    @example(TrainConfig())
+    @settings(max_examples=50, deadline=None)
+    def test_defaults_round_trip(self, cfg):
+        assert list(TRAIN_FIELDS) == [f.name for f in fields(TrainConfig)]
+        text = render_train_config(cfg)
+        again = parse_train_config(text)
         assert again == cfg
+        assert render_train_config(again) == text
+
+    def test_rendered_text_is_pinned(self):
+        """Checkpoints store this text, so its bytes are part of the format."""
+        defaults = ("lr = 0.001\nbeta1 = 0.9\nbeta2 = 0.999\neps_adam = 1e-08\n"
+                    "batch_size = 4\nepochs = 50\nseed = 0\nthreshold = 0.5\n")
+        assert render_train_config(TrainConfig()) == defaults
+        weighted = TrainConfig(loss_weights=[1, 0.5, 0.25, 2])
+        assert render_train_config(weighted) == defaults + "loss_weights = 1.0,0.5,0.25,2.0\n"
+
+    def test_readme_config_blocks_match_the_code(self):
+        """The README's model block sets every model key; its train block
+        lists every TrainConfig field in declaration order, at the defaults."""
+        model_block, train_block = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+        model_keys = {re.sub(r"\.\d+$", ".<i>", key) for key, _ in _config_lines(model_block)}
+        assert model_keys >= set(CONFIG_KEYS.split(", "))
+        parse_model_config(model_block)
+        assert [key for key, _ in _config_lines(train_block)] == \
+            [f.name for f in fields(TrainConfig)]
+        assert parse_train_config(train_block) == TrainConfig(loss_weights=[1, 1, 1, 1])
 
     def test_loss_weights_round_trip(self):
         cfg = TrainConfig(loss_weights=[1.0, 0.5, 0.25, 2.0])
@@ -477,6 +525,26 @@ class TestCheckpoint:
             load_checkpoint(path, ModelParams(ModelConfig(preset="tiny"), Prng(0)))
         with pytest.raises(ValueError, match=re.escape(message)):
             open_checkpoint(path)
+
+    @pytest.mark.parametrize("breakage", ["missing fuse.b", "adam.t without moments"])
+    def test_failed_load_leaves_the_model_untouched(self, tmp_path, breakage):
+        """Every entry is checked before any is copied, so an error raised by
+        a late entry comes before the early tensors are overwritten."""
+        params = ModelParams(ModelConfig(preset="tiny"), Prng(31))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params)
+        entries = tio.load_entries(path)
+        if breakage == "missing fuse.b":
+            del entries["fuse.b"]
+        else:
+            entries["adam.t"] = np.asarray(1.0, dtype=np.float32)
+        tio.save_entries(path, entries)
+        target = ModelParams(ModelConfig(preset="tiny"), Prng(32))
+        before = {key: t.data.copy() for key, t in target.named().items()}
+        with pytest.raises(ValueError, match="checkpoint missing tensor"):
+            load_checkpoint(path, target)
+        for key, t in target.named().items():
+            np.testing.assert_array_equal(t.data, before[key], err_msg=key)
 
     def test_missing_adam_moment_is_named(self, tmp_path):
         path, entries = self._adam_checkpoint(tmp_path, seed=29)
