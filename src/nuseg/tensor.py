@@ -210,7 +210,9 @@ def backward(loss: Tensor) -> None:
 
     Node ids increase monotonically at creation and inputs are created
     strictly before their outputs, so descending-id order is a valid reverse
-    topological order. Repeated calls without zeroing accumulate.
+    topological order. An interior node's grad is released once its closure
+    has run, so only leaves keep a grad. Parents and closures stay, so a
+    repeated call over the same graph accumulates into the leaves again.
     """
     if loss.data.ndim != 0:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -228,6 +230,7 @@ def backward(loss: Tensor) -> None:
     for t in sorted(nodes, key=lambda n: n._id, reverse=True):
         if t._backward is not None and t.grad is not None:
             t._backward(t.grad)
+            t.grad = None
 
 
 def zero_grads(tensors) -> None:

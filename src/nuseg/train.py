@@ -56,6 +56,8 @@ class TrainConfig:
             raise ValueError(f"seed must be a u64, got {self.seed}")
         if self.loss_weights is not None:
             ws = [float(w) for w in self.loss_weights]
+            if not ws:
+                raise ValueError("loss_weights must not be empty")
             if not all(math.isfinite(w) and w >= 0 for w in ws):
                 raise ValueError(f"loss_weights must be finite and >= 0, got {ws}")
             if not any(w > 0 for w in ws):
@@ -127,7 +129,7 @@ def _stack_batch(samples: list) -> tuple:
     shapes = {s.image.data.shape for s in samples}
     if len(shapes) > 1:
         raise ValueError(f"cannot batch mixed image sizes {sorted(shapes)}; "
-                         "use batch_size=1 for mixed datasets")
+                         "give every image one size")
     x = np.concatenate([s.image.data for s in samples], axis=0)
     y = np.concatenate([s.mask.data for s in samples], axis=0)
     return Tensor(x), Tensor(y)
@@ -176,6 +178,7 @@ def train_loop(params: ModelParams, dataset: list, cfg: TrainConfig,
             backward(loss)
             adam_step(state, cfg)
             pred = binarize(_stable_sigmoid(out.fused.data), cfg.threshold)
+            del out, loss  # the step's graph must not live into the next forward
             batch_iou = iou_dataset([pred], [y.data])
             rows.append((step, loss_val, batch_iou))
             step += 1

@@ -137,6 +137,40 @@ class TestTensorBasics:
         backward(loss)
         np.testing.assert_array_equal(x.grad, 2 * np.ones_like(x.data))
 
+    def test_backward_releases_interior_grads(self):
+        """After `backward` only the leaves hold a grad. Those grads are bit
+        for bit the ones a walk that keeps every interior grad gives, and a
+        second `backward` over the same graph doubles them."""
+        prng = Prng(17)
+        arrays = [prng.normal((2, 2, 5, 5)), prng.normal((3, 2, 3, 3)), prng.normal((3,)),
+                  1.0 + prng.uniform_array(3), prng.normal((3,))]
+
+        def build():
+            x, w, b, gamma, beta = leaves = [Tensor(a.copy(), requires_grad=True)
+                                             for a in arrays]
+            rm, rv = Tensor(np.zeros(3, np.float32)), Tensor(np.ones(3, np.float32))
+            with Tape() as tape:
+                loss = sum_all(relu(batch_norm(conv2d(x, w, b, pad=1), gamma, beta, rm, rv)))
+            return loss, leaves, [r.output for r in tape.ops]
+
+        loss, leaves, interior = build()
+        backward(loss)
+        assert len(interior) == 4
+        assert all(t._backward is not None and t.grad is None for t in interior)
+        first = [t.grad.copy() for t in leaves]
+
+        ref_loss, ref_leaves, ref_interior = build()
+        ref_loss.accum_grad(np.ones_like(ref_loss.data))
+        for t in reversed(ref_interior):  # tape order is creation order
+            t._backward(t.grad)
+        assert all(t.grad is not None for t in ref_interior)
+        for got, ref in zip(first, ref_leaves):
+            np.testing.assert_array_equal(got, ref.grad)
+
+        backward(loss)
+        for t, g in zip(leaves, first):
+            np.testing.assert_array_equal(t.grad, 2 * g)
+
     def test_forward_determinism(self):
         prng = Prng(7)
         x = prng.normal((2, 3, 6, 6))

@@ -5,7 +5,9 @@ Training-loop tests run a few steps of the smallest preset on 32x32 inputs;
 nothing here should take more than a second or two.
 """
 
+import gc
 import re
+import weakref
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -177,6 +179,14 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="all zero"):
             TrainConfig(loss_weights=[0.0, 0.0])
 
+    @pytest.mark.parametrize("make", [lambda: TrainConfig(loss_weights=[]),
+                                      lambda: parse_train_config("loss_weights = \n"),
+                                      lambda: parse_train_config("loss_weights = ,\n")],
+                             ids=["constructor", "blank", "comma"])
+    def test_empty_weights_rejected_as_empty(self, make):
+        with pytest.raises(ValueError, match="^loss_weights must not be empty$"):
+            make()
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             TrainConfig(loss_weights=[1.0, -0.5])
@@ -330,8 +340,29 @@ class TestTrainLoop:
         params = ModelParams(ModelConfig(preset="tiny"), Prng(10))
         dataset = [tiny_sample(0, size=32), tiny_sample(1, size=48)]
         cfg = TrainConfig(epochs=1, batch_size=2)
-        with pytest.raises(ValueError, match="mixed image sizes"):
+        with pytest.raises(ValueError, match="mixed image sizes .*; give every image one size"):
             train_loop(params, dataset, cfg, max_steps=1)
+
+    def test_no_step_graph_outlives_its_step(self, monkeypatch):
+        """Each step's graph is freed by reference counting before the next
+        forward starts, so its activations and closures never coexist with
+        the next step's."""
+        params, dataset, cfg = tiny_setup(seed=12, n=4, epochs=2, batch_size=2)
+        refs, alive = [], []
+
+        def recording_forward(*args, **kwargs):
+            alive.append(sum(r() is not None for r in refs))
+            out = forward(*args, **kwargs)
+            refs.append(weakref.ref(out.fused.data))
+            return out
+
+        monkeypatch.setattr("nuseg.train.forward", recording_forward)
+        gc.disable()
+        try:
+            train_loop(params, dataset, cfg)
+        finally:
+            gc.enable()
+        assert alive == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("arg", ["ckpt_every", "max_steps"])
     def test_negative_counts_rejected(self, tmp_path, arg):
