@@ -277,6 +277,22 @@ def _check_input(cfg: ModelConfig, x: Tensor) -> None:
             f"{pad_w} cols (to {h + pad_h}x{w + pad_w})")
 
 
+def _decoder_input(params: ModelParams, k: int, prev: Tensor, skip_feat: Tensor,
+                   training: bool) -> Tensor:
+    """The k-th decoder's input, deepest first: `prev` upsampled to the skip's
+    grid, concatenated with the skip, or with the skip's IC-A fusion with the
+    projected `prev`. The parts are locals, so a pass that builds no graph
+    frees them on return, before the decoder reads the concat."""
+    cfg = params.cfg
+    up = upsample_bilinear(prev, skip_feat.data.shape[2], skip_feat.data.shape[3])
+    if cfg.ica_enabled:
+        f_h_raw = params.projs[k].apply(prev)
+        skip = ica_forward(f_h_raw, skip_feat, params.icas[k], cfg.gate_kind, training).fused
+    else:
+        skip = skip_feat
+    return concat_channels([up, skip])
+
+
 def forward_features(params: ModelParams, x: Tensor, training: bool) -> dict:
     """Run the network and keep intermediate features for inspection.
 
@@ -299,14 +315,7 @@ def forward_features(params: ModelParams, x: Tensor, training: bool) -> dict:
     prev = enc_feats[-1]
     for k, dec in enumerate(params.decoders):
         skip_feat = enc_feats[cfg.stages - 2 - k]
-        up = upsample_bilinear(prev, skip_feat.data.shape[2], skip_feat.data.shape[3])
-        if cfg.ica_enabled:
-            f_h_raw = params.projs[k].apply(prev)
-            skip = ica_forward(f_h_raw, skip_feat, params.icas[k],
-                               cfg.gate_kind, training).fused
-        else:
-            skip = skip_feat
-        prev = rsu_forward(dec, concat_channels([up, skip]), training)
+        prev = rsu_forward(dec, _decoder_input(params, k, prev, skip_feat, training), training)
         dec_feats.append(prev)
 
     side = []

@@ -97,16 +97,19 @@ def rsu_forward(params: RsuParams, x: Tensor, training: bool) -> Tensor:
         raise ValueError(f"rsu pooling mode depth {spec.depth} needs H,W divisible by {div}, "
                          f"got {h}x{w}")
 
+    # Each map is dropped at its last read, so a pass that builds no graph
+    # frees it there; a graph keeps what its backward reads.
     hin = params.conv_in.apply(x, training)
+    del x
     feats = [params.encs[0].apply(hin, training)]
     for enc in params.encs[1:]:
         nxt = max_pool2d(feats[-1]) if spec.mode == "pooling" else feats[-1]
         feats.append(enc.apply(nxt, training))
-    bot = params.bottom.apply(feats[-1], training)
-
-    d = params.decs[0].apply(concat_channels([bot, feats[-1]]), training)
-    for dec, skip in zip(params.decs[1:], reversed(feats[:-1])):
-        if spec.mode == "pooling":
+        del nxt
+    d = params.bottom.apply(feats[-1], training)
+    for i, dec in enumerate(params.decs):  # deepest first, each reads its level's encoder map
+        skip = feats.pop()
+        if i and spec.mode == "pooling":
             d = upsample_bilinear(d, skip.data.shape[2], skip.data.shape[3])
         d = dec.apply(concat_channels([d, skip]), training)
     return add(d, hin)

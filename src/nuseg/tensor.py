@@ -11,6 +11,13 @@ order, and `backward` replays it in reverse.
 All math is plain numpy. Ops propagate the input dtype, which lets the
 gradient checker run an entire graph in float64 while normal execution stays
 in float32.
+
+Memory: a backward closure keeps only what backward reads and cannot cheaply
+recompute. `batch_norm` keeps no normalized copy of its input, and `conv2d`
+keeps no padded copy or window: their closures rebuild these from `x.data`.
+So an op's input data must not change between its forward and its backward.
+A pass that builds no graph holds a map only while a name refers to it, and
+the forward walks in `rsu` and `model` drop each map after its last reader.
 """
 
 import functools
@@ -436,19 +443,30 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
     if training:
         m = n * h * wd
         mu = np.add.reduce(x.data, axis=(0, 2, 3)) / m
-        xc = x.data - mu.reshape(1, c, 1, 1)
+        shift = mu.reshape(1, c, 1, 1)
+        xc = x.data - shift
         var = np.add.reduce(xc * xc, axis=(0, 2, 3)) / m  # np.var's value, without its own x - mu
         running_mean.data[:] = 0.9 * running_mean.data + 0.1 * mu
         running_var.data[:] = 0.9 * running_var.data + 0.1 * var
     else:
-        xc = x.data - running_mean.data.astype(x.data.dtype).reshape(1, c, 1, 1)
+        # a copy, for the closure: a later training-mode call moves the buffer
+        shift = running_mean.data.astype(x.data.dtype).reshape(1, c, 1, 1)
+        xc = x.data - shift
         var = running_var.data.astype(x.data.dtype)
     inv_std = (1.0 / np.sqrt(var + 1e-5)).reshape(1, c, 1, 1)
-    xhat = xc * inv_std
     gamma4 = gamma.data.reshape(1, c, 1, 1)
-    out_data = gamma4 * xhat + beta.data.reshape(1, c, 1, 1)
+    # gamma * (xc * inv_std) + beta, in xc's buffer: the same values as out of
+    # place, and the output is the one x-sized array the call leaves
+    out_data = xc
+    out_data *= inv_std
+    out_data *= gamma4
+    out_data += beta.data.reshape(1, c, 1, 1)
 
     def grad_fn(g):
+        # xhat recomputed from x.data, as forward made it: x must be unchanged
+        xhat = None
+        if gamma.requires_grad or (training and x.requires_grad):
+            xhat = (x.data - shift) * inv_std
         if gamma.requires_grad:
             gamma.accum_grad(np.add.reduce(g * xhat, axis=(0, 2, 3)))
         if beta.requires_grad:
@@ -579,12 +597,14 @@ def concat_channels(xs: list) -> Tensor:
             raise ValueError(
                 f"concat_channels spatial mismatch: {xs[0].data.shape} vs {x.data.shape}")
 
+    parents = tuple(xs)  # the closure reads this, not the caller's list, which may change
+
     def grad_fn(g):
-        offsets = np.cumsum([0] + [x.data.shape[1] for x in xs])
-        for x, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
+        offsets = np.cumsum([0] + [x.data.shape[1] for x in parents])
+        for x, lo, hi in zip(parents, offsets[:-1], offsets[1:]):
             x.accum_grad(g[:, lo:hi])
-    return _make_out(np.concatenate([x.data for x in xs], axis=1), "concat_channels",
-                     tuple(xs), grad_fn)
+    return _make_out(np.concatenate([x.data for x in parents], axis=1), "concat_channels",
+                     parents, grad_fn)
 
 
 @_replayable

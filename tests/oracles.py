@@ -223,6 +223,21 @@ def grad_check_loops(build_fn, leaves, eps=1e-3, promote=()):
             t.grad = grad
 
 
+def normal_whole_array(prng, shape, std=1.0):
+    """`Prng.normal` over whole-tensor temporaries: all m = ceil(n/2) u1
+    draws, then all m u2 draws, Box-Muller, and the cos half followed by the
+    sin half cut to n values."""
+    n = int(np.prod(shape)) if shape else 1
+    m = (n + 1) // 2
+    a = prng.next_u64_array(m) >> np.uint64(40)
+    b = prng.next_u64_array(m) >> np.uint64(40)
+    u1 = (a.astype(np.float64) + 1.0) * 2.0**-24
+    u2 = b.astype(np.float64) * 2.0**-24
+    r = np.sqrt(-2.0 * np.log(u1))
+    z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])
+    return (std * z[:n]).astype(np.float32).reshape(shape)
+
+
 def sigmoid_f64(z):
     return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=np.float64)))
 

@@ -3,6 +3,7 @@ presets and input sizes, side-output plumbing, attention toggling, and the
 parameter / MAC counters.
 """
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -317,6 +318,23 @@ class TestInfer:
             infer(params, Tensor(np.zeros((1, 3, 30, 30), dtype=np.float32)))
         assert {k: t.requires_grad for k, t in params.named().items()} == before
         assert params.fuse.w.requires_grad and not params.fuse.b.requires_grad
+
+    def test_small_at_128px_frees_each_map_after_its_last_reader(self):
+        """A pass that builds no graph drops each decoder input's parts once
+        the concat exists, each block's input once its first conv has run,
+        and each block's encoder levels once their decoder has read them:
+        one `small` infer at 128 px then peaks at about 13.5 MiB of traced
+        allocations, where holding them to the end of the block took 18.8."""
+        params = ModelParams(ModelConfig(preset="small"), Prng(7))
+        x = image(5, size=128)
+        infer(params, x)  # fills the interpolation-matrix cache
+        tracemalloc.start()
+        try:
+            infer(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_eval_mode_leaves_running_stats_alone(self):
         params = ModelParams(ModelConfig(preset="tiny"), Prng(13))

@@ -1,8 +1,12 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nuseg import prng as prng_module
 from nuseg.prng import Prng, mix64
+
+from oracles import normal_whole_array
 
 # reference splitmix64 outputs for seed 0 (published test vector)
 SEED0_FIRST3 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -83,6 +87,29 @@ class TestNormal:
         a, b = Prng(8), Prng(8)
         first = a.normal((5,))
         np.testing.assert_array_equal(first, b.normal((5,)))
+
+    @pytest.mark.parametrize("shape", [(), (1,), (0,), (5,), (7, 3),
+                                       (2 * (1 << 16) - 1,), (2 * (1 << 16),),
+                                       (2 * (1 << 16) + 1,), (3, 1 << 16, 3),
+                                       (512, 1024, 3, 3)])
+    def test_chunks_match_the_whole_array_draw(self, shape):
+        """Drawn a chunk of pairs at a time, the array and the end state are
+        bit-identical to one whole-tensor draw, across the chunk boundary and
+        at odd sizes."""
+        assert prng_module._NORMAL_CHUNK == 1 << 16
+        got, ref = Prng(29), Prng(29)
+        a = got.normal(shape, std=0.7)
+        b = normal_whole_array(ref, shape, std=0.7)
+        assert a.shape == b.shape and a.dtype == b.dtype == np.float32
+        assert a.tobytes() == b.tobytes()
+        assert got.state == ref.state
+
+    def test_small_chunks_match_the_whole_array_draw(self, monkeypatch):
+        monkeypatch.setattr(prng_module, "_NORMAL_CHUNK", 3)
+        for n in range(0, 16):
+            got, ref = Prng(31 + n), Prng(31 + n)
+            assert got.normal((n,)).tobytes() == normal_whole_array(ref, (n,)).tobytes()
+            assert got.state == ref.state
 
 
 class TestShuffle:

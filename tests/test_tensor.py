@@ -40,6 +40,15 @@ def weighted_sum(out, prng):
     return sum_all(mul_broadcast(out, w))
 
 
+def cell_bound(cell) -> bool:
+    """False for a closure cell whose name the call never bound."""
+    try:
+        cell.cell_contents
+    except ValueError:
+        return False
+    return True
+
+
 def _op_cases():
     """op name -> (call over the input tensors, input arrays), every op once."""
     p = Prng(21)
@@ -593,6 +602,47 @@ class TestBatchNorm:
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_backward_keeps_no_input_sized_array(self, training):
+        """The closure recomputes xhat from x.data, so no cell of it holds an
+        array as large as the input; in eval mode it reads a copy of the
+        running mean taken at the forward, not the buffer."""
+        prng = Prng(67)
+        x = Tensor(prng.normal((2, 3, 4, 5)), requires_grad=True)
+        gamma, beta, rm, rv = self.fresh(3)
+        rm.data[:] = [0.5, -0.5, 0.25]
+        out = batch_norm(x, gamma, beta, rm, rv, training=training)
+        held = [cell.cell_contents for cell in out._backward.__closure__
+                if cell_bound(cell)]
+        assert not [v.shape for v in held if isinstance(v, np.ndarray) and v.size >= x.data.size]
+        g = prng.normal(out.data.shape)
+        want = batchnorm_bits_reference(x.data, gamma.data, beta.data, np.array([0.5, -0.5, 0.25],
+                                        np.float32), np.ones(3, np.float32), training, g)[3:]
+        rm.data[:] = 9.0  # a later training-mode call moves the buffer in place
+        out._backward(g)
+        for t, ref in zip((x, gamma, beta), want):
+            assert t.grad.tobytes() == ref.tobytes()
+
+    def test_repeat_backward_is_bit_identical_in_both_modes(self):
+        """A graph with a training-mode and an eval-mode batch norm gives the
+        same leaf grads, bit for bit, from every `backward` over it."""
+        prng = Prng(68)
+        x = rand(prng, 2, 2, 5, 5)
+        w = rand(prng, 3, 2, 3, 3)
+        g1, b1, rm1, rv1 = self.fresh(3)
+        g2, b2, rm2, rv2 = self.fresh(3)
+        rm2.data[:] = prng.normal((3,))
+        rv2.data[:] = 0.5 + prng.uniform_array(3)
+        leaves = [x, w, g1, b1, g2, b2]
+        h = batch_norm(conv2d(x, w, None, pad=1), g1, b1, rm1, rv1, training=True)
+        loss = weighted_sum(batch_norm(relu(h), g2, b2, rm2, rv2, training=False), Prng(69))
+        runs = []
+        for _ in range(3):
+            zero_grads(leaves)
+            backward(loss)
+            runs.append([t.grad.tobytes() for t in leaves])
+        assert runs[0] == runs[1] == runs[2]
+
     def test_grad_training_mode(self):
         prng = Prng(65)
         x = rand(prng, 2, 3, 4, 4)
@@ -742,6 +792,33 @@ class TestConcat:
         backward(sum_all(mul_broadcast(concat_channels([a, b]), w)))
         np.testing.assert_allclose(a.grad, w.data[:, :2], rtol=1e-6)
         np.testing.assert_allclose(b.grad, w.data[:, 2:], rtol=1e-6)
+
+    @pytest.mark.parametrize("mutate", ["clear", "refill"])
+    def test_backward_ignores_a_later_change_to_the_list(self, mutate):
+        """The closure routes the grad to the tensors the call concatenated,
+        whatever the caller does to its list afterwards."""
+        prng = Prng(103)
+        arrays = [prng.normal((1, 2, 3, 3)), prng.normal((1, 3, 3, 3))]
+        w = Tensor(prng.normal((1, 5, 3, 3)))
+
+        def grads(change):
+            a, b = (Tensor(x.copy(), requires_grad=True) for x in arrays)
+            xs = [a, b]
+            out = concat_channels(xs)
+            change(xs)
+            backward(sum_all(mul_broadcast(out, w)))
+            return a.grad, b.grad
+
+        def clear(xs):
+            xs.clear()
+
+        def refill(xs):
+            xs[:] = [Tensor(np.zeros((1, 5, 3, 3), np.float32), requires_grad=True)]
+
+        want = grads(lambda xs: None)
+        got = grads(clear if mutate == "clear" else refill)
+        for g, ref in zip(got, want):
+            assert g is not None and g.tobytes() == ref.tobytes()
 
     def test_spatial_mismatch_rejected(self):
         a = Tensor(np.ones((1, 1, 4, 4), dtype=np.float32))
