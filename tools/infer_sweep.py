@@ -2,11 +2,12 @@
 
     python3 tools/infer_sweep.py --presets tiny,small,full --sizes 64,128,192,256,320 --calls 5
 
-For each preset, one fresh process builds the model from `Prng(seed)` and
+For each preset, one fresh process builds the model from `Prng(0)` and
 saves its checkpoint to a temporary directory. For each (preset, size), one
 fresh process opens that checkpoint, as `nuseg infer` does, and calls `infer`
 `--calls` times on one generated [1, 3, size, size] image. Every process
-pins BLAS to one thread before NumPy is imported, as perfbench does.
+imports perfbench's `run` first, which pins BLAS to one thread before NumPy
+is imported.
 
 Output is `key=value` lines: the environment as `env.*`, then per preset
 `<preset>.build_s` and `<preset>.build_peak_rss_mb`, and per configuration
@@ -19,53 +20,48 @@ the root of a checkout; it reads the sources under `src/`.
 import os
 import sys
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+import run  # noqa: E402  (pins BLAS threads before NumPy is imported)
 
 import argparse  # noqa: E402
-import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import tempfile  # noqa: E402
 from time import perf_counter  # noqa: E402
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
 
-
-def _peak_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
-def _build(preset: str, seed: int, ckpt: str) -> None:
+def _build(preset: str, ckpt: str) -> None:
     from nuseg.model import ModelConfig, ModelParams
     from nuseg.prng import Prng
     from nuseg.train import save_checkpoint
 
     t = perf_counter()
-    params = ModelParams(ModelConfig(preset=preset), Prng(seed))
+    params = ModelParams(ModelConfig(preset=preset), Prng(0))
     print(f"build_s={perf_counter() - t:.4f}")
-    print(f"build_peak_rss_mb={_peak_rss_mb():.2f}")
+    print(f"build_peak_rss_mb={run.peak_rss_mb():.2f}")
     save_checkpoint(ckpt, params)
 
 
-def _infer(ckpt: str, size: int, calls: int, seed: int) -> None:
+def _infer(ckpt: str, size: int, calls: int) -> None:
     from nuseg.model import infer
     from nuseg.prng import Prng
     from nuseg.tensor import Tensor
     from nuseg.train import open_checkpoint
 
-    image = Tensor(Prng(seed).uniform_array(3 * size * size).reshape(1, 3, size, size))
+    image = Tensor(Prng(0).uniform_array(3 * size * size).reshape(1, 3, size, size))
     t = perf_counter()
     params, _ = open_checkpoint(ckpt)
     print(f"open_s={perf_counter() - t:.4f}")
-    print(f"open_peak_rss_mb={_peak_rss_mb():.2f}")
+    print(f"open_peak_rss_mb={run.peak_rss_mb():.2f}")
     times = []
     for _ in range(calls):
         t = perf_counter()
         infer(params, image)
         times.append(perf_counter() - t)
-    print(f"infer_peak_rss_mb={_peak_rss_mb():.2f}")
+    print(f"infer_peak_rss_mb={run.peak_rss_mb():.2f}")
     print(f"latency_ms_p50={1e3 * statistics.median(times):.3f}")
     print(f"calls={calls}")
 
@@ -91,31 +87,26 @@ def main(argv=None) -> int:
     ap.add_argument("--presets", default="tiny,small,full")
     ap.add_argument("--sizes", type=_int_list, default=[64, 128, 192, 256, 320])
     ap.add_argument("--calls", type=int, default=5, help="infer calls per configuration")
-    ap.add_argument("--seed", type=int, default=0, help="seeds the weights and the image")
     ap.add_argument("--child", nargs="+", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
         mode, *rest = args.child
         if mode == "build":
-            _build(rest[0], args.seed, rest[1])
+            _build(rest[0], rest[1])
         else:
-            _infer(rest[0], int(rest[1]), args.calls, args.seed)
+            _infer(rest[0], int(rest[1]), args.calls)
         return 0
     if args.calls < 1:
         ap.error("--calls must be at least 1")
 
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    from run import environment
-
-    for key, value in environment().items():
+    for key, value in run.environment().items():
         print(f"env.{key}={value}")
     with tempfile.TemporaryDirectory(prefix="infer_sweep_") as work:
         for preset in args.presets.split(","):
             ckpt = os.path.join(work, f"{preset}.ckpt")
-            _child(preset, "build", preset, ckpt, f"--seed={args.seed}")
+            _child(preset, "build", preset, ckpt)
             for size in args.sizes:
-                _child(f"{preset}.{size}", "infer", ckpt, str(size),
-                       f"--calls={args.calls}", f"--seed={args.seed}")
+                _child(f"{preset}.{size}", "infer", ckpt, str(size), f"--calls={args.calls}")
     return 0
 
 
