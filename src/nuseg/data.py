@@ -5,6 +5,7 @@ clamped to [0,1] and fully determined by a u64 seed. Ground truth marks the
 pixels where a blob's own contribution reaches e^-2 of its amplitude, i.e.
 a 2-sigma disk per target, deliberately a little larger than the bright
 core. Targets stay under 30x30 pixels by construction (6-sigma box).
+Randomized scenes share one fixed distribution, the module constants below.
 
 Images and masks travel as binary PGM (P5, maxval 255); the u8 <-> f32/255
 mapping is exact in both directions, so load -> save is byte-identical.
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .io import _write_lines
 from .model import INPUT_CHANNELS
 from .prng import Prng
 from .tensor import Tensor
@@ -27,6 +29,17 @@ __all__ = ["MASK_LEVEL", "Background", "TargetSpec", "SceneSpec", "Sample",
 MASK_LEVEL = math.exp(-2.0)  # of amplitude: the 2-sigma disk
 
 BACKGROUND_KINDS = ("flat", "lowpass_noise", "gradient")
+
+# the distribution of a randomized scene; every range is inclusive
+MIN_TARGETS = 1
+SIGMA_RANGE = (1.8, 3.2)
+AMPLITUDE_RANGE = (0.75, 1.0)
+NOISE_STD_RANGE = (0.0, 0.01)
+FLAT_LEVEL_RANGE = (0.05, 0.25)
+LOWPASS_CUTOFF_RANGE = (2, 5)
+LOWPASS_GAIN_RANGE = (0.02, 0.06)
+# the widest target's 6-sigma box, centre pixel included, must fit
+MIN_SIZE = math.ceil(6.0 * SIGMA_RANGE[1] + 1.0)
 
 
 @dataclass(frozen=True)
@@ -172,34 +185,19 @@ def gen_scene(spec: SceneSpec) -> Sample:
 
 @dataclass(frozen=True)
 class DatasetTemplate:
-    """Parameter ranges for randomized scenes; every range is inclusive."""
+    """Size and target-count cap of randomized scenes, each of which holds
+    MIN_TARGETS to max_targets targets; the module constants fix the rest."""
 
     width: int = 64
     height: int = 64
-    min_targets: int = 1
     max_targets: int = 2
-    sigma_range: tuple = (1.8, 3.2)
-    amplitude_range: tuple = (0.75, 1.0)
-    noise_std_range: tuple = (0.0, 0.01)
-    backgrounds: tuple = BACKGROUND_KINDS
-    flat_level_range: tuple = (0.05, 0.25)
-    lowpass_cutoff_range: tuple = (2, 5)
-    lowpass_gain_range: tuple = (0.02, 0.06)
 
     def __post_init__(self):
-        if not 0 <= self.min_targets <= self.max_targets:
-            raise ValueError(f"bad target count range "
-                             f"[{self.min_targets}, {self.max_targets}]")
-        if 6.0 * self.sigma_range[1] >= 30.0:
-            raise ValueError("sigma_range upper end breaks the 30x30 footprint cap")
-        # the widest target's 6-sigma box, centre pixel included, must fit
-        least = math.ceil(6.0 * self.sigma_range[1] + 1.0) if self.max_targets >= 1 else 1
-        if min(self.width, self.height) < least:
+        if self.max_targets < MIN_TARGETS:
+            raise ValueError(f"bad target count range [{MIN_TARGETS}, {self.max_targets}]")
+        if min(self.width, self.height) < MIN_SIZE:
             raise ValueError(f"image size {self.width}x{self.height} is below the minimum "
-                             f"of {least} px for these targets")
-        for kind in self.backgrounds:
-            if kind not in BACKGROUND_KINDS:
-                raise ValueError(f"unknown background kind {kind!r}")
+                             f"of {MIN_SIZE} px for these targets")
 
 
 def _lerp(rng: Prng, lo: float, hi: float) -> float:
@@ -213,27 +211,27 @@ def _rand_int(rng: Prng, lo: int, hi: int) -> int:
 def _draw_spec(template: DatasetTemplate, seed: int) -> SceneSpec:
     rng = Prng(seed)
     scene_seed = rng.next_u64()
-    kind = template.backgrounds[rng.next_u64() % len(template.backgrounds)]
+    kind = BACKGROUND_KINDS[rng.next_u64() % len(BACKGROUND_KINDS)]
     if kind == "flat":
-        bg = Background("flat", level=_lerp(rng, *template.flat_level_range))
+        bg = Background("flat", level=_lerp(rng, *FLAT_LEVEL_RANGE))
     elif kind == "lowpass_noise":
         bg = Background("lowpass_noise",
-                        cutoff=_rand_int(rng, *template.lowpass_cutoff_range),
-                        gain=_lerp(rng, *template.lowpass_gain_range))
+                        cutoff=_rand_int(rng, *LOWPASS_CUTOFF_RANGE),
+                        gain=_lerp(rng, *LOWPASS_GAIN_RANGE))
     else:
         bg = Background("gradient", angle=_lerp(rng, 0.0, 2.0 * math.pi))
-    n_targets = _rand_int(rng, template.min_targets, template.max_targets)
+    n_targets = _rand_int(rng, MIN_TARGETS, template.max_targets)
     targets = []
     for _ in range(n_targets):
-        sigma = _lerp(rng, *template.sigma_range)
+        sigma = _lerp(rng, *SIGMA_RANGE)
         half = 3.0 * sigma
         targets.append(TargetSpec(
             cx=_lerp(rng, half, template.width - 1 - half),
             cy=_lerp(rng, half, template.height - 1 - half),
             sigma=sigma,
-            amplitude=_lerp(rng, *template.amplitude_range)))
+            amplitude=_lerp(rng, *AMPLITUDE_RANGE)))
     return SceneSpec(width=template.width, height=template.height, background=bg,
-                     targets=tuple(targets), noise_std=_lerp(rng, *template.noise_std_range),
+                     targets=tuple(targets), noise_std=_lerp(rng, *NOISE_STD_RANGE),
                      seed=scene_seed)
 
 
@@ -258,8 +256,7 @@ def gen_dataset(out_dir, n: int, template: DatasetTemplate, seed: int) -> list:
         centers = ";".join(f"{t.cx!r}:{t.cy!r}" for t in spec.targets)
         manifest.append(f"{base}.img.pgm,{len(spec.targets)},{centers}")
         specs.append(spec)
-    with open(os.path.join(out_dir, "manifest.csv"), "w") as fh:
-        fh.write("\n".join(manifest) + "\n")
+    _write_lines(os.path.join(out_dir, "manifest.csv"), manifest)
     return specs
 
 

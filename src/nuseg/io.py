@@ -85,6 +85,12 @@ def _check_output_paths(**paths) -> None:
             raise ValueError(f"output directory {folder!r} does not exist")
 
 
+def _write_lines(path, lines) -> None:
+    """Write text lines to `path`, each ending in a newline."""
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def save_tensor(path, arr: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(tensor_to_bytes(arr))

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .io import _write_lines
+
 __all__ = [
     "ConfusionCounts", "RocCurve", "MetricsReport",
     "binarize", "confusion", "iou_dataset", "per_sample_iou", "niou",
@@ -40,10 +42,6 @@ class RocCurve:
     tpr: np.ndarray              # per threshold
     auc: float                   # trapezoid over standard-mode points
     fpr_mode: str
-
-    @property
-    def points(self) -> list:
-        return list(zip(self.fpr.tolist(), self.tpr.tolist()))
 
 
 @dataclass
@@ -84,11 +82,10 @@ def _check_pairs(preds, gts) -> None:
                              f"{np.asarray(p).shape} vs {np.asarray(g).shape}")
 
 
-def _iou(tp: int, fp: int, fn: int, empty_value: float = 1.0) -> float:
-    """tp / (tp + fp + fn) of one sample's or pooled counts; 0/0 scores
-    `empty_value`."""
+def _iou(tp: int, fp: int, fn: int) -> float:
+    """tp / (tp + fp + fn) of one sample's or pooled counts; 0/0 scores 1.0."""
     union = tp + fp + fn
-    return empty_value if union == 0 else tp / union
+    return 1.0 if union == 0 else tp / union
 
 
 def _pooled_iou(counts: list) -> float:
@@ -106,15 +103,15 @@ def iou_dataset(preds, gts) -> float:
     return _pooled_iou([confusion(p, g) for p, g in zip(preds, gts)])
 
 
-def per_sample_iou(pred, gt, empty_value: float = 1.0) -> float:
+def per_sample_iou(pred, gt) -> float:
     c = confusion(pred, gt)
-    return _iou(c.tp, c.fp, c.fn, empty_value)
+    return _iou(c.tp, c.fp, c.fn)
 
 
-def niou(preds, gts, empty_value: float = 1.0) -> float:
-    """Mean of per-sample IoUs; empty-vs-empty samples score `empty_value`."""
+def niou(preds, gts) -> float:
+    """Mean of per-sample IoUs; empty-vs-empty samples score 1.0."""
     _check_pairs(preds, gts)
-    return float(np.mean([per_sample_iou(p, g, empty_value) for p, g in zip(preds, gts)]))
+    return float(np.mean([per_sample_iou(p, g) for p, g in zip(preds, gts)]))
 
 
 def _check_fpr_mode(fpr_mode: str) -> None:
@@ -230,21 +227,19 @@ def write_report_csv(report: MetricsReport, path) -> None:
              f"objects_total,{sum(report.objects_per_sample)}"]
     if report.roc is not None:
         lines.append(f"auc,{report.roc.auc!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_roc_csv(curve: RocCurve, path) -> None:
     lines = ["thr,fpr,tpr"]
     for thr, f, t in zip(curve.thresholds, curve.fpr, curve.tpr):
         lines.append(f"{float(thr)!r},{float(f)!r},{float(t)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
-def write_roc_svg(curve: RocCurve, path, size: int = 400) -> None:
+def write_roc_svg(curve: RocCurve, path) -> None:
     """Minimal standalone plot: unit box, diagonal, and the ROC polyline."""
-    margin = 40
+    size, margin = 400, 40
     span = size - 2 * margin
 
     def sx(v: float) -> float:
@@ -271,5 +266,4 @@ def write_roc_svg(curve: RocCurve, path, size: int = 400) -> None:
         f'auc={curve.auc:.4f}</text>',
         "</svg>",
     ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(svg) + "\n")
+    _write_lines(path, svg)

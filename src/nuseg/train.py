@@ -198,8 +198,7 @@ def write_curve(rows: list, path) -> None:
     lines = ["step,loss,iou"]
     for step, loss_val, iou_val in rows:
         lines.append(f"{step},{float(loss_val)!r},{float(iou_val)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    tio._write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +207,6 @@ def write_curve(rows: list, path) -> None:
 
 def _text_tensor(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-8"), dtype=np.uint8).astype(np.float32)
-
-
-def _tensor_text(arr: np.ndarray) -> str:
-    return bytes(arr.astype(np.uint8)).decode("utf-8")
 
 
 def _checkpoint_entries(params: ModelParams, state, step: int, train_cfg) -> dict:
@@ -254,11 +249,27 @@ def open_checkpoint(path) -> tuple:
     return _restore(tio.load_entries(path))
 
 
-def _scalar_entry(entries: dict, name: str) -> int:
+def _counter_entry(entries: dict, name: str) -> int:
+    """A count saved as a float32 scalar: whole, in [0, 2**24] where it is exact."""
     arr = entries[name]
     if arr.shape != ():
         raise ValueError(f"checkpoint entry {name!r} must be a scalar, got shape {arr.shape}")
+    if not (0 <= arr <= 2 ** 24 and float(arr).is_integer()):  # nan fails too
+        raise ValueError(f"checkpoint entry {name!r} must be a whole number in [0, 2**24], "
+                         f"got {float(arr)!r}")
     return int(arr)
+
+
+def _text_entry(entries: dict, name: str) -> str:
+    """UTF-8 text stored one byte per element, as `_text_tensor` writes it."""
+    arr = entries[name]
+    if arr.ndim != 1 or not np.all((arr >= 0) & (arr <= 255) & (arr == np.floor(arr))):
+        raise ValueError(f"checkpoint entry {name!r} must be a rank-1 run of byte values "
+                         f"0..255, got shape {arr.shape}")
+    try:
+        return bytes(arr.astype(np.uint8)).decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"checkpoint entry {name!r} is not UTF-8 text") from None
 
 
 def _restore(entries: dict, params: ModelParams = None) -> tuple:
@@ -266,21 +277,21 @@ def _restore(entries: dict, params: ModelParams = None) -> tuple:
     None); returns (params, info)."""
     if "meta.model_cfg" not in entries:
         raise ValueError("checkpoint missing entry 'meta.model_cfg'")
-    stored_cfg = _tensor_text(entries["meta.model_cfg"])
+    stored_cfg = _text_entry(entries, "meta.model_cfg")
     if params is None:
         params = ModelParams(parse_model_config(stored_cfg), None)
     expected = render_model_config(params.cfg)
     if stored_cfg != expected:
         raise ValueError("checkpoint model config does not match this model:\n"
                          f"stored:   {stored_cfg!r}\nexpected: {expected!r}")
-    step = _scalar_entry(entries, "meta.step") if "meta.step" in entries else 0
+    step = _counter_entry(entries, "meta.step") if "meta.step" in entries else 0
     train_cfg = None
     if "meta.train_cfg" in entries:
-        train_cfg = parse_train_config(_tensor_text(entries["meta.train_cfg"]))
+        train_cfg = parse_train_config(_text_entry(entries, "meta.train_cfg"))
     state = None
     if "adam.t" in entries:
         state = AdamState(params.trainables())
-        state.t = _scalar_entry(entries, "adam.t")
+        state.t = _counter_entry(entries, "adam.t")
     # the save layout holds the live tensors and Adam buffers: check every
     # entry first, so a bad checkpoint leaves them untouched, then copy
     layout = _checkpoint_entries(params, state, step, train_cfg)
@@ -308,7 +319,7 @@ def evaluate_dataset(params: ModelParams, dataset: list, thr: float = 0.5,
     """Eval-mode fused-head metrics over a sample list: infer every image once,
     then `metrics.compute_report` (with a ROC when n_thresholds > 0).
 
-    Returns {"iou", "niou", "per_sample", "scores", "gts", "report"}.
+    Returns {"iou", "niou", "scores", "gts", "report"}.
     """
     if not dataset:
         raise ValueError("evaluation dataset is empty")
@@ -319,20 +330,18 @@ def evaluate_dataset(params: ModelParams, dataset: list, thr: float = 0.5,
                             fpr_mode=fpr_mode)
     return {"iou": report.iou,
             "niou": report.niou,
-            "per_sample": report.per_sample_iou,
             "scores": scores,
             "gts": gts,
             "report": report}
 
 
 def run_ablation(dataset: list, train_cfg: TrainConfig, out_path=None,
-                 preset: str = "tiny", gate_kind: str = "sigmoid",
                  max_steps: int = 0) -> list:
-    """Train attention-on and attention-off variants from one seed and report
-    `config,iou,niou` rows (the structural comparison the harness exists for)."""
+    """Train attention-on and attention-off default models from one seed and
+    report `config,iou,niou` rows (the comparison the harness exists for)."""
     rows = []
     for ica_enabled in (True, False):
-        cfg = ModelConfig(preset=preset, ica_enabled=ica_enabled, gate_kind=gate_kind)
+        cfg = ModelConfig(ica_enabled=ica_enabled)
         params = ModelParams(cfg, Prng(train_cfg.seed))
         train_loop(params, dataset, train_cfg, max_steps=max_steps)
         scores = evaluate_dataset(params, dataset, train_cfg.threshold)
@@ -342,6 +351,5 @@ def run_ablation(dataset: list, train_cfg: TrainConfig, out_path=None,
         lines = ["config,iou,niou"]
         for label, iou_val, niou_val in rows:
             lines.append(f"{label},{iou_val!r},{niou_val!r}")
-        with open(out_path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        tio._write_lines(out_path, lines)
     return rows

@@ -363,12 +363,12 @@ def iou_dataset_loops(preds, gts):
     return 1.0 if union == 0 else tp / union
 
 
-def niou_loops(preds, gts, empty_value=1.0):
+def niou_loops(preds, gts):
     vals = []
     for pred, gt in zip(preds, gts):
         tp, fp, fn, _ = confusion_loops(pred, gt)
         union = tp + fp + fn
-        vals.append(empty_value if union == 0 else tp / union)
+        vals.append(1.0 if union == 0 else tp / union)
     return sum(vals) / len(vals)
 
 

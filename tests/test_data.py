@@ -4,14 +4,19 @@ closed-form disk, dataset reproducibility, and byte-exact image files.
 
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nuseg.data import (MASK_LEVEL, Background, DatasetTemplate, SceneSpec,
-                        TargetSpec, gen_dataset, gen_scene, load_dataset,
-                        load_pgm, save_pgm)
+from nuseg.data import (AMPLITUDE_RANGE, BACKGROUND_KINDS, FLAT_LEVEL_RANGE,
+                        LOWPASS_CUTOFF_RANGE, LOWPASS_GAIN_RANGE, MASK_LEVEL, MIN_SIZE,
+                        MIN_TARGETS, NOISE_STD_RANGE, SIGMA_RANGE, Background,
+                        DatasetTemplate, SceneSpec, TargetSpec, gen_dataset, gen_scene,
+                        load_dataset, load_pgm, save_pgm)
 from nuseg.prng import Prng
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def flat_spec(targets, seed=0, size=32, noise=0.0, level=0.1):
@@ -71,15 +76,11 @@ class TestSpecValidation:
             Background("lowpass_noise", gain=-0.1)
 
     def test_template_target_range(self):
-        with pytest.raises(ValueError, match="target count range"):
-            DatasetTemplate(min_targets=3, max_targets=2)
-
-    def test_template_sigma_cap(self):
-        with pytest.raises(ValueError, match="footprint cap"):
-            DatasetTemplate(sigma_range=(1.0, 5.0))
+        with pytest.raises(ValueError, match=r"bad target count range \[1, 0\]"):
+            DatasetTemplate(max_targets=0)
 
     def test_template_too_small_for_its_targets(self):
-        """The default sigma_range ends at 3.2: a 6-sigma box plus its centre
+        """SIGMA_RANGE ends at 3.2: a 6-sigma box plus its centre
         pixel needs 20.2 px, so 21 px is the smallest size accepted."""
         for size in (0, 7, 20):
             with pytest.raises(ValueError, match=f"{size}x{size} is below the minimum of 21 px"):
@@ -87,12 +88,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="64x20 is below the minimum of 21 px"):
             DatasetTemplate(width=64, height=20)
         DatasetTemplate(width=21, height=21)
-        DatasetTemplate(width=8, height=8, sigma_range=(1.0, 1.1))
-        DatasetTemplate(width=7, height=7, min_targets=0, max_targets=0)
-
-    def test_template_background_kinds(self):
-        with pytest.raises(ValueError, match="unknown background"):
-            DatasetTemplate(backgrounds=("flat", "perlin"))
 
 
 class TestGenScene:
@@ -357,3 +352,21 @@ class TestLoadDataset:
         (d / "x.mask.pgm").write_bytes(b"P5\n2 1\n255\n" + bytes([0, 0]))
         with pytest.raises(ValueError, match="differ"):
             load_dataset(d)
+
+
+class TestDistribution:
+    def test_readme_distribution_matches_the_constants(self):
+        """README "Dataset format" states the generator's fixed distribution."""
+        text = " ".join(README.read_text().split())
+
+        def span(lo_hi):
+            return f"{lo_hi[0]}–{lo_hi[1]}"
+
+        phrases = [f"{MIN_TARGETS} to `max_targets` targets",
+                   f"sigma {span(SIGMA_RANGE)} px", f"amplitude {span(AMPLITUDE_RANGE)}",
+                   f"noise std {span(NOISE_STD_RANGE)}", f"level {span(FLAT_LEVEL_RANGE)}",
+                   f"cutoff {span(LOWPASS_CUTOFF_RANGE)}", f"gain {span(LOWPASS_GAIN_RANGE)}",
+                   f"at least {MIN_SIZE} px a side"]
+        phrases += [f"{kind.split('_')[0]} backgrounds" for kind in BACKGROUND_KINDS]
+        for phrase in phrases:
+            assert phrase in text, phrase

@@ -145,7 +145,6 @@ class TestNiou:
     def test_empty_sample_uses_empty_value(self):
         z = np.zeros((2, 2), dtype=np.uint8)
         assert per_sample_iou(z, z) == 1.0
-        assert per_sample_iou(z, z, empty_value=0.0) == 0.0
 
     def test_matches_loop_oracle_exactly(self):
         pairs = [random_pair(40 + i, size=8) for i in range(3)]

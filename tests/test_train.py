@@ -601,15 +601,52 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"'{key}' must be a scalar"):
             open_checkpoint(path)
 
+    @pytest.mark.parametrize("key,edit,message", [
+        ("meta.step", lambda a: 2.5, "must be a whole number in [0, 2**24], got 2.5"),
+        ("meta.step", lambda a: -4.0, "must be a whole number in [0, 2**24], got -4.0"),
+        ("meta.step", lambda a: 1e30, "must be a whole number in [0, 2**24]"),
+        ("meta.step", lambda a: np.nan, "must be a whole number in [0, 2**24], got nan"),
+        ("adam.t", lambda a: -1.0, "must be a whole number in [0, 2**24], got -1.0"),
+        ("adam.t", lambda a: np.nan, "must be a whole number in [0, 2**24], got nan"),
+        ("meta.model_cfg", lambda a: np.concatenate([a[:1] + 256, a[1:]]),
+         "must be a rank-1 run of byte values 0..255"),
+        ("meta.model_cfg", lambda a: np.concatenate([a[:1] + 0.4, a[1:]]),
+         "must be a rank-1 run of byte values 0..255"),
+        ("meta.model_cfg", lambda a: a.reshape(1, -1),
+         "must be a rank-1 run of byte values 0..255, got shape (1, "),
+        ("meta.model_cfg", lambda a: 65.0,
+         "must be a rank-1 run of byte values 0..255, got shape ()"),
+        ("meta.model_cfg", lambda a: np.append(a, 255), "is not UTF-8 text"),
+        ("meta.train_cfg", lambda a: np.append(a, 255), "is not UTF-8 text"),
+    ], ids=["step-fraction", "step-negative", "step-huge", "step-nan", "t-negative",
+            "t-nan", "cfg-above-255", "cfg-fraction", "cfg-rank-2", "cfg-scalar",
+            "cfg-not-utf8", "train-cfg-not-utf8"])
+    def test_bad_meta_entry_is_named_before_any_copy(self, tmp_path, key, edit, message):
+        """Counters are whole, finite and >= 0; text entries are rank-1 byte
+        values that decode as UTF-8. A bad one is named, and refused before
+        any tensor of the target model is overwritten."""
+        path, entries = self._adam_checkpoint(tmp_path, seed=33)
+        entries[key] = np.asarray(edit(entries[key]), dtype=np.float32)
+        tio.save_entries(path, entries)
+        target = ModelParams(ModelConfig(preset="tiny"), Prng(34))
+        before = {name: t.data.copy() for name, t in target.named().items()}
+        want = re.escape(f"checkpoint entry {key!r} {message}")
+        with pytest.raises(ValueError, match=want):
+            load_checkpoint(path, target)
+        for name, t in target.named().items():
+            np.testing.assert_array_equal(t.data, before[name], err_msg=name)
+        with pytest.raises(ValueError, match=want):
+            open_checkpoint(path)
+
 
 class TestEvaluationHarness:
     def test_evaluate_dataset_shapes_and_ranges(self):
         params, dataset, cfg = tiny_setup(seed=21)
         scores = evaluate_dataset(params, dataset)
-        assert set(scores) == {"iou", "niou", "per_sample", "scores", "gts", "report"}
+        assert set(scores) == {"iou", "niou", "scores", "gts", "report"}
         assert 0.0 <= scores["iou"] <= 1.0
         assert 0.0 <= scores["niou"] <= 1.0
-        assert len(scores["per_sample"]) == 2
+        assert len(scores["report"].per_sample_iou) == 2
         assert scores["scores"][0].shape == (32, 32)
 
     def test_report_is_the_metrics_report_of_the_scores(self):
@@ -622,7 +659,6 @@ class TestEvaluationHarness:
         assert (got.iou, got.niou, got.per_sample_iou) == (want.iou, want.niou,
                                                            want.per_sample_iou)
         assert (result["iou"], result["niou"]) == (got.iou, got.niou)
-        assert result["per_sample"] == got.per_sample_iou
         assert got.roc.fpr_mode == "paper_literal"
         np.testing.assert_array_equal(got.roc.fpr, want.roc.fpr)
         np.testing.assert_array_equal(got.roc.tpr, want.roc.tpr)
